@@ -3,8 +3,7 @@
 Every kernel is written once as a plain function and compiled with
 ``numba.njit`` when available. Setting ``SPECSEP_NUMBA=0`` (or numba being
 absent) selects the uncompiled path; semantics are identical, only speed
-differs. ``benchmarks/bench_kernels.py`` times the two paths side by side
-in separate processes.
+differs.
 
 Kernels call each other through the module-level names bound below, so the
 whole call tree is either compiled or uncompiled as one unit.

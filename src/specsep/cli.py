@@ -166,6 +166,12 @@ def cmd_density(config: RunConfig, x_min: float, x_max: float, points: int, out_
                 )
                 + "\n"
             )
+    if curve.vmin_fallbacks:
+        print(
+            f"density: {len(curve.vmin_fallbacks)} of {points} points kept their "
+            f"v_min pair (real-axis polish failed)",
+            file=sys.stderr,
+        )
     if len(curve.failed) > 0.01 * points:
         print(f"density: {len(curve.failed)} of {points} points failed", file=sys.stderr)
         return EXIT_SOLVER

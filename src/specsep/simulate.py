@@ -10,14 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SpectrumError
-from .separation import SeparationPrediction
+from .separation import UNBOUNDED_SPAN, SeparationPrediction
 from .spectrum import JointSpectrum, materialize_pairs, validate
 from .support import SpectralGap
 
 NOISE_LAWS = ("standard_gaussian", "rademacher", "uniform_standardized")
 
 INSET_FRACTION = 0.05
-UNBOUNDED_SPAN = 10.0
 HERMITIAN_TOL = 1e-12
 
 

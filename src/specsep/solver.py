@@ -2,8 +2,12 @@
 
 The system couples two scalar transforms (s, g) of the limiting spectral
 distribution through atom denominators 1 + u*g + t*s. ``solve_at`` finds
-the unique upper-half-plane solution by damped fixed-point iteration;
-``boundary_value`` continues it down to the real axis.
+the unique upper-half-plane solution by damped fixed-point iteration.
+``boundary_value`` continues it down to the real axis along a ladder of
+heights that shrink by a decade per rung: a fixed-point solve at the top
+rung, Newton warm-started from the rung above at every later one, and the
+fixed point again wherever Newton's result fails the residual or the
+upper-half-plane check.
 """
 
 from __future__ import annotations
@@ -24,7 +28,14 @@ from .spectrum import ModelConfig, spectrum_arrays
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """Tolerances and budgets for the fixed-point solver and continuation."""
+    """Tolerances and budgets for the solver and the continuation ladder.
+
+    tol bounds both residuals of an accepted pair, at every rung of the
+    ladder. max_iter and damping are the fixed point's budget and first
+    damping factor. boundary_value's ladder starts at height v_start and
+    divides it by LADDER_RATIO per rung down to v_min, the last height
+    above the axis; its pair is the fallback when the v = 0 polish fails.
+    """
 
     tol: float = 1e-10
     max_iter: int = 10000
@@ -44,6 +55,11 @@ class SolveSettings:
 
 
 DEFAULT_SETTINGS = SolveSettings()
+
+# boundary_value divides the height by this factor from one rung to the next
+LADDER_RATIO = 10.0
+# Newton steps allowed per rung before the fixed point takes over
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -179,49 +195,96 @@ def solve_at(z: complex, cfg: ModelConfig, settings: SolveSettings = DEFAULT_SET
     return _solve_warm(z, cfg, settings, -1.0 / z, -1.0 / z)
 
 
+def _ladder_heights(settings):
+    """Heights v_start / LADDER_RATIO**k for k = 0, 1, ..., clamped to and
+    ending at v_min.
+
+    Dividing the previous height instead would drift by rounding and leave
+    a stray rung just above v_min (1.0000000000000002e-08, then 1e-08).
+    """
+    k = 0
+    v = settings.v_start
+    while True:
+        yield v
+        if v <= settings.v_min:
+            return
+        k += 1
+        v = max(settings.v_start / LADDER_RATIO**k, settings.v_min)
+
+
+def _newton(z, cfg, settings, s0, g0):
+    """Newton from (s0, g0), polished toward machine residuals.
+
+    Returns the pair only when both residuals are below settings.tol and
+    both imaginary parts are non-negative, else None.
+    """
+    u, t, w = spectrum_arrays(cfg.spectrum)
+    s, g, r1, r2, _it, _st = K.newton_pair(
+        complex(z), u, t, w, cfg.y, complex(s0), complex(g0),
+        settings.tol * 1e-4, NEWTON_MAX_ITER,
+    )
+    if max(r1, r2) < settings.tol and s.imag >= 0.0 and g.imag >= 0.0:
+        return StieltjesPair(z=complex(z), s_under=s, g_under=g)
+    return None
+
+
+def _rung(z, cfg, settings, s0, g0):
+    """One height of the ladder, solved from the pair one height up.
+
+    Newton first; the damped fixed point from the same start when Newton's
+    result is rejected. Raises ConvergenceError when both fail.
+    """
+    pair = _newton(z, cfg, settings, s0, g0)
+    if pair is None:
+        pair = _solve_warm(z, cfg, settings, s0, g0)
+    return pair
+
+
 def boundary_value(x: float, cfg: ModelConfig, settings: SolveSettings = DEFAULT_SETTINGS) -> StieltjesPair:
     """Real-axis limit of the solution pair at x != 0.
 
-    Continues geometrically from v_start down to v_min, warm-starting each
-    height from the last, then polishes at v = 0 keeping the upper-half-
-    plane projection active. Falls back to the v_min pair if the final
-    polish does not converge.
+    Walks a decade ladder of heights v_start, v_start/10, ..., clamped to
+    v_min, then v = 0. The first height is a cold fixed-point solve from
+    s = g = -1/z; every later height is a Newton solve warm-started from the
+    pair one height up, with the fixed point as its fallback (``_rung``).
+    A height above the axis that neither solves raises ContinuationError.
+    When the v = 0 polish fails, the v_min pair is returned: its ``z`` keeps
+    Im z = v_min, which is how callers tell the fallback apart.
+
+    Off the support the limit pair is real. When the imaginary parts of the
+    v = 0 pair are already a small fraction of the magnitudes, Newton solves
+    once more from its real parts, so the iterates stay exactly real; the
+    complex pair is kept if that solve is rejected.
     """
     if x == 0.0:
         raise ValueError("boundary values are undefined at x = 0")
-    v = settings.v_start
+    heights = _ladder_heights(settings)
+    v = next(heights)
     z = complex(x, v)
-    s0 = g0 = -1.0 / z
-    while True:
-        z = complex(x, v)
-        try:
-            pair = _solve_warm(z, cfg, settings, s0, g0)
-        except ConvergenceError as exc:
-            raise ContinuationError(x, v) from exc
-        s0, g0 = pair.s_under, pair.g_under
-        if v <= settings.v_min:
-            break
-        v = max(v / 2.0, settings.v_min)
+    try:
+        pair = _solve_warm(z, cfg, settings, -1.0 / z, -1.0 / z)
+        for v in heights:
+            pair = _rung(complex(x, v), cfg, settings, pair.s_under, pair.g_under)
+    except ConvergenceError as exc:
+        raise ContinuationError(x, v) from exc
 
     try:
-        pair = _solve_warm(complex(x, 0.0), cfg, settings, s0, g0)
+        pair = _rung(complex(x, 0.0), cfg, settings, pair.s_under, pair.g_under)
     except ConvergenceError:
         return pair
 
-    # Off the support the limit pair is real; when the imaginary parts are
-    # already a small fraction of the magnitudes, restart from the real
-    # parts so the iteration stays exactly real and lands on the limit.
     s, g = pair.s_under, pair.g_under
     rel_im = max(
         abs(s.imag) / max(1.0, abs(s)),
         abs(g.imag) / max(1.0, abs(g)),
     )
     if rel_im < 1e-3:
-        try:
-            return _solve_warm(
-                complex(x, 0.0), cfg, settings,
-                complex(s.real, 0.0), complex(g.real, 0.0),
-            )
-        except ConvergenceError:
-            pass
+        # Newton only: from a real start every fixed-point iterate stays
+        # real, so on the support, where no real root exists, the fixed
+        # point would spend its whole budget at each damping rung
+        real_pair = _newton(
+            complex(x, 0.0), cfg, settings, complex(s.real, 0.0), complex(g.real, 0.0)
+        )
+        if real_pair is not None:
+            return real_pair
     return pair

@@ -68,7 +68,12 @@ class SpectralGap:
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """Density of the limiting spectral distribution on a grid."""
+    """Density of the limiting spectral distribution on a grid.
+
+    ``failed`` holds the indices whose continuation failed (NaN rows);
+    ``vmin_fallbacks`` those whose real-axis polish failed, so the row
+    holds the pair at z = x + i*v_min instead of the limit on the axis.
+    """
 
     grid: np.ndarray
     f: np.ndarray
@@ -77,6 +82,7 @@ class DensityCurve:
     y: float
     spectrum: JointSpectrum
     failed: tuple[int, ...] = field(default=())
+    vmin_fallbacks: tuple[int, ...] = field(default=())
 
     def mass(self) -> float:
         """Trapezoid mass over the grid, skipping failed points."""
@@ -249,7 +255,8 @@ def density(
     The boundary imaginary part gives the companion density; dividing by y
     converts to the density of the p-dimensional spectrum (the companion
     law carries an extra point mass (1-y) at zero). Failed points are
-    flagged and reported as NaN, not fatal.
+    flagged and reported as NaN, not fatal; points that kept their v_min
+    pair are flagged too.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if np.any(grid == 0.0):
@@ -258,6 +265,7 @@ def density(
     s_vals = np.empty(grid.shape, dtype=np.complex128)
     g_vals = np.empty(grid.shape, dtype=np.complex128)
     failed = []
+    vmin_fallbacks = []
     for i, x in enumerate(grid):
         try:
             pair = boundary_value(float(x), cfg, settings)
@@ -267,12 +275,15 @@ def density(
             s_vals[i] = np.nan
             g_vals[i] = np.nan
             continue
+        if pair.z.imag > 0.0:
+            vmin_fallbacks.append(i)
         s_vals[i] = pair.s_under
         g_vals[i] = pair.g_under
         f[i] = max(0.0, pair.s_under.imag / (cfg.y * np.pi))
     return DensityCurve(
         grid=grid, f=f, s_under=s_vals, g_under=g_vals,
         y=cfg.y, spectrum=cfg.spectrum, failed=tuple(failed),
+        vmin_fallbacks=tuple(vmin_fallbacks),
     )
 
 

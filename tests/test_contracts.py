@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from specsep import (
 )
 from specsep import solver as solver_mod
 from specsep import support as support_mod
+from specsep.cli import main
 
 
 def test_sign_constancy_violation_reported(two_atom_config):
@@ -53,6 +56,43 @@ def test_density_flags_failed_points(mp_config, monkeypatch):
     assert np.isfinite(curve.f[0]) and np.isfinite(curve.f[2])
     # mass skips the flagged point instead of propagating NaN
     assert np.isfinite(curve.mass())
+
+
+def test_density_flags_vmin_fallbacks(mp_config, monkeypatch, tmp_path, capsys):
+    # a pair still at z = x + i*v_min is the fallback after a failed
+    # real-axis polish: it is kept as a value but listed on the curve and
+    # counted on stderr, with the CSV and the exit code unchanged
+    calls = {"n": 0}
+    real = solver_mod.boundary_value
+
+    def polish_fails(x, cfg, settings=solver_mod.DEFAULT_SETTINGS):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            return solver_mod.solve_at(complex(x, settings.v_min), cfg, settings)
+        return real(x, cfg, settings)
+
+    cfg_path = tmp_path / "mp.json"
+    cfg_path.write_text(json.dumps({"y": 0.25, "spectrum": [{"u": 0.0, "t": 1.0, "weight": 1.0}]}))
+    argv = ["density", "--config", str(cfg_path), "--x-min", "0.8", "--x-max", "1.2", "--points", "3"]
+
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+
+    monkeypatch.setattr(support_mod, "boundary_value", polish_fails)
+    curve = density(mp_config, [0.8, 1.0, 1.2])
+    assert curve.vmin_fallbacks == (1,)
+    assert curve.failed == ()
+    assert np.all(np.isfinite(curve.f))
+
+    calls["n"] = 0
+    assert main(argv + ["--out", str(tmp_path / "fallback")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "1 of 3 points" in err and "v_min" in err
+    plain = (tmp_path / "plain" / "density.csv").read_text().splitlines()
+    fallback = (tmp_path / "fallback" / "density.csv").read_text().splitlines()
+    assert len(fallback) == len(plain) == 4
+    assert [fallback[i] for i in (0, 1, 3)] == [plain[i] for i in (0, 1, 3)]
 
 
 def test_threaded_trials_match_sequential(two_atom_config, monkeypatch):

@@ -18,6 +18,8 @@ from specsep import (
     to_companion,
 )
 
+from specsep import _kernels as K
+
 from oracles import (
     mp_boundary_companion,
     mp_companion_transform,
@@ -167,6 +169,31 @@ class TestBoundaryValue:
         assert abs(pair.s_under - oracle) < 1e-4
         r1, r2 = residual_713(pair, mp_config)
         assert r1 < settings.tol and r2 < settings.tol
+
+    def test_fixed_point_takes_over_when_newton_fails(self, mp_config, monkeypatch):
+        # every rung's Newton result is rejected, so each height falls back
+        # to the damped fixed point from the same start
+        heights = []
+        real_fixed_point = K.fixed_point
+
+        def no_newton(z, u, t, w, y, s0, g0, tol, max_iter):
+            return s0, g0, np.inf, np.inf, 0, K.NO_CONVERGE
+
+        def recording(*args):
+            heights.append(args[0].imag)
+            return real_fixed_point(*args)
+
+        monkeypatch.setattr(K, "newton_pair", no_newton)
+        monkeypatch.setattr(K, "fixed_point", recording)
+        pair = boundary_value(1.0, mp_config)
+        assert pair.z.imag == 0.0
+        assert abs(pair.s_under.imag / (0.25 * np.pi) - mp_density(1.0, 0.25)) < 1e-6
+        assert heights[:9] == [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
+        assert heights[9:] == [0.0]
+
+        heights.clear()
+        pair = boundary_value(3.0, mp_config)
+        assert abs(pair.s_under - mp_boundary_companion(3.0, 0.25)) < 1e-9
 
 
 class TestInvariantBattery:

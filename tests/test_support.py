@@ -17,6 +17,8 @@ from specsep import (
     solve_s_given_g,
     x_of_g,
 )
+from specsep import _kernels as K
+from specsep.separation import UNBOUNDED_SPAN
 
 from oracles import (
     TWO_ATOM_GAPS_Y001,
@@ -196,6 +198,53 @@ class TestFindGaps:
             assert abs(pair.s_under.imag) < 1e-7
             assert pair.s_under.real == pytest.approx(br.s, abs=1e-6)
             assert pair.g_under.real == pytest.approx(br.g, abs=1e-6)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the real-branch sweep accepts a root of the coupling constraint "
+        "off the branch through s = g for g in about (-0.368, -0.311), which "
+        "reports the spurious gap (0.565, 0.871) inside the support",
+    )
+    def test_three_atom_gaps_hold_real_boundary_values(self):
+        cfg = ModelConfig(
+            JointSpectrum.from_atoms([(0.0, 1.0, 0.3), (2.0, 0.7, 0.3), (8.0, 1.3, 0.4)]),
+            0.2,
+        )
+        for gap in find_gaps(cfg):
+            b = gap.a + UNBOUNDED_SPAN if gap.unbounded else gap.b
+            x_mid = 0.5 * (gap.a + b)
+            pair = boundary_value(x_mid, cfg)
+            assert abs(pair.s_under.imag) < 1e-6, (gap, x_mid, pair.s_under)
+
+
+class TestNearEdgeSolve:
+    """The continuation ladder near support edges and inside gaps."""
+
+    def test_mp_edge_grid_matches_closed_form_without_stalls(self, mp_config, monkeypatch):
+        statuses = []
+        real = K.fixed_point
+
+        def counting(*args):
+            result = real(*args)
+            statuses.append(result[5])
+            return result
+
+        monkeypatch.setattr(K, "fixed_point", counting)
+        grid = np.linspace(0.2501, 2.2499, 200)
+        curve = density(mp_config, grid)
+        assert not curve.failed and not curve.vmin_fallbacks
+        assert np.max(np.abs(curve.f - mp_density(grid, 0.25))) < 1e-10
+        assert statuses
+        assert K.NO_CONVERGE not in statuses
+
+    def test_pairs_inside_gaps_are_exactly_real(self, two_atom_config):
+        for gap in find_gaps(two_atom_config):
+            b = gap.a + UNBOUNDED_SPAN if gap.unbounded else gap.b
+            inset = 0.05 * (b - gap.a)
+            for x in np.linspace(gap.a + inset, b - inset, 9):
+                pair = boundary_value(float(x), two_atom_config)
+                assert pair.z.imag == 0.0
+                assert pair.s_under.imag == 0.0, (gap, x, pair)
 
 
 class TestDensity:
