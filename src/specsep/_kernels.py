@@ -1,12 +1,16 @@
-"""Hot numeric kernels with a numba path and a pure-numpy fallback.
+"""Hot numeric kernels of the transform solver and the real-branch sweep.
 
-Every kernel is written once as a plain function and compiled with
-``numba.njit`` when available. Setting ``SPECSEP_NUMBA=0`` (or numba being
-absent) selects the uncompiled path; semantics are identical, only speed
-differs.
+Each kernel is a plain Python function with one path. Sums over atoms are
+scalar loops: models have one to a few atoms, and on 1-3 atoms the loop is
+3-5x faster per call than a numpy expression over the atom arrays (``phi``
+on 2 atoms: 2.6 us for the loop against 10.2 us for ``np.sum`` and 7.3 us
+for ``@``; see notes/decisions.md). A ``find_gaps`` sweep makes about a
+million ``phi`` calls, so that per-call overhead would dominate it.
 
-Kernels call each other through the module-level names bound below, so the
-whole call tree is either compiled or uncompiled as one unit.
+Kernels call each other through this module's globals (``phi`` inside
+``solve_s``, ``branch`` inside ``sweep``, ...), never through local aliases.
+A wrapper set as a module attribute, for a trace or a test, therefore sees
+every nested call as well as the outermost one.
 
 Status codes returned by kernels:
   0  success
@@ -17,8 +21,6 @@ Status codes returned by kernels:
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -32,28 +34,7 @@ SINGULAR = 4
 POLE_EPS = 1e-14
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("SPECSEP_NUMBA", "auto").strip().lower()
-    return flag not in ("0", "off", "false", "no")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ENABLED = False
-
-
-def _compile(fn):
-    if NUMBA_ENABLED:
-        return _njit(cache=True)(fn)
-    return fn
-
-
-def _atom_sums_impl(s, g, u, t, w):
+def atom_sums(s, g, u, t, w):
     """Sums of w/d and w*t/d over atoms, d = 1 + u*g + t*s.
 
     Returns (sum0, sumt, min |d|).
@@ -73,10 +54,7 @@ def _atom_sums_impl(s, g, u, t, w):
     return sum0, sumt, min_ad
 
 
-atom_sums = _compile(_atom_sums_impl)
-
-
-def _residual_pair_impl(z, s, g, u, t, w, y):
+def residual_pair(z, s, g, u, t, w, y):
     """Residuals of the inverted two-equation system at (z, s, g).
 
     Returns (r1, r2, status); r1 checks the equation solved for s, r2 the
@@ -92,10 +70,7 @@ def _residual_pair_impl(z, s, g, u, t, w, y):
     return r1, r2, OK
 
 
-residual_pair = _compile(_residual_pair_impl)
-
-
-def _fixed_point_impl(z, u, t, w, y, s0, g0, tol, max_iter, damping):
+def fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
     """Damped alternating fixed point for the coupled transform pair.
 
     Candidate updates come from each equation rearranged for its own
@@ -135,10 +110,7 @@ def _fixed_point_impl(z, u, t, w, y, s0, g0, tol, max_iter, damping):
     return s, g, r1, r2, max_iter, NO_CONVERGE
 
 
-fixed_point = _compile(_fixed_point_impl)
-
-
-def _newton_pair_impl(z, u, t, w, y, s0, g0, tol, max_iter):
+def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
     """Damped Newton on the two-equation residual map, polishing a stall.
 
     Solves the 2x2 complex linear system per step by Cramer's rule and
@@ -218,10 +190,7 @@ def _newton_pair_impl(z, u, t, w, y, s0, g0, tol, max_iter):
     return s, g, r1, r2, max_iter, NO_CONVERGE
 
 
-newton_pair = _compile(_newton_pair_impl)
-
-
-def _constraint_residual_impl(s, g, u, t, w, y):
+def constraint_residual(s, g, u, t, w, y):
     """|y*g^2 * sum_k w*u/(1+u*g+t*s) + s - g| for complex or real inputs."""
     acc = 0.0 + 0.0j
     for k in range(u.shape[0]):
@@ -232,10 +201,7 @@ def _constraint_residual_impl(s, g, u, t, w, y):
     return abs(y * g * g * acc + s - g)
 
 
-constraint_residual = _compile(_constraint_residual_impl)
-
-
-def _phi_impl(g, s, u, t, w, y):
+def phi(g, s, u, t, w, y):
     """Real coupling constraint y*g^2*sum(w*u/(1+u*g+t*s)) + s - g."""
     acc = 0.0
     for k in range(u.shape[0]):
@@ -244,10 +210,7 @@ def _phi_impl(g, s, u, t, w, y):
     return y * g * g * acc + s - g
 
 
-phi = _compile(_phi_impl)
-
-
-def _solve_s_impl(g, u, t, w, y, s_center):
+def solve_s(g, u, t, w, y, s_center):
     """Real root of the coupling constraint nearest to s_center.
 
     The search stays inside the pole-free interval of s containing
@@ -382,10 +345,7 @@ def _solve_s_impl(g, u, t, w, y, s_center):
     return root, abs(f_root), OK
 
 
-solve_s = _compile(_solve_s_impl)
-
-
-def _branch_impl(g, u, t, w, y, s_center):
+def branch(g, u, t, w, y, s_center):
     """Real-branch evaluation at one parameter value.
 
     Solves the coupling constraint for s, then evaluates the inverse map
@@ -426,10 +386,7 @@ def _branch_impl(g, u, t, w, y, s_center):
     return s, x, dx_dg, min_ad, OK
 
 
-branch = _compile(_branch_impl)
-
-
-def _sweep_impl(gs, u, t, w, y):
+def sweep(gs, u, t, w, y):
     """Real-branch evaluation over a parameter grid.
 
     Returns (s, x, dx_dg, status, den) arrays; den[i, k] is atom k's
@@ -455,6 +412,3 @@ def _sweep_impl(gs, u, t, w, y):
             else:
                 den[i, k] = np.nan
     return s_arr, x_arr, d_arr, status, den
-
-
-sweep = _compile(_sweep_impl)

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,14 +175,6 @@ class VerifyReport:
         return self.all_gaps_match_frequency[self.convention]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SPECSEP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_trials(
     simcfg: SimConfig,
     gaps,
@@ -196,8 +186,7 @@ def run_trials(
     For every trial and gap, records (below, inside, above) counts and
     whether they match each side-mapping convention's prediction; the
     overall match frequency of a convention requires all gaps of a trial
-    to match simultaneously. Trials run concurrently when SPECSEP_THREADS
-    is set above 1; aggregation is order-independent.
+    to match simultaneously.
     """
     gaps = list(gaps)
     predictions = list(predictions)
@@ -213,13 +202,7 @@ def run_trials(
             trial_index=idx, seed_used=simcfg.seed, eigenvalues=eigs, counts=counts
         )
 
-    workers = _worker_count()
-    indices = range(simcfg.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(one_trial, indices))
-    else:
-        trials = [one_trial(i) for i in indices]
+    trials = [one_trial(i) for i in range(simcfg.trials)]
 
     per_gap = []
     per_conv_all = {conv: np.ones(simcfg.trials, dtype=bool) for conv in ("derivation", "theorem")}

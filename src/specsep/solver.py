@@ -215,17 +215,20 @@ def _ladder_heights(settings):
 def _newton(z, cfg, settings, s0, g0):
     """Newton from (s0, g0), polished toward machine residuals.
 
-    Returns the pair only when both residuals are below settings.tol and
-    both imaginary parts are non-negative, else None.
+    Returns (pair, polished). pair is None unless both residuals are below
+    settings.tol and both imaginary parts are non-negative; polished says
+    whether Newton reached its polish target, settings.tol * 1e-4 or the
+    kernel's floor 1e-14 * |z|.
     """
     u, t, w = spectrum_arrays(cfg.spectrum)
-    s, g, r1, r2, _it, _st = K.newton_pair(
+    s, g, r1, r2, _it, status = K.newton_pair(
         complex(z), u, t, w, cfg.y, complex(s0), complex(g0),
         settings.tol * 1e-4, NEWTON_MAX_ITER,
     )
+    polished = status == K.OK
     if max(r1, r2) < settings.tol and s.imag >= 0.0 and g.imag >= 0.0:
-        return StieltjesPair(z=complex(z), s_under=s, g_under=g)
-    return None
+        return StieltjesPair(z=complex(z), s_under=s, g_under=g), polished
+    return None, polished
 
 
 def _rung(z, cfg, settings, s0, g0):
@@ -234,7 +237,7 @@ def _rung(z, cfg, settings, s0, g0):
     Newton first; the damped fixed point from the same start when Newton's
     result is rejected. Raises ConvergenceError when both fail.
     """
-    pair = _newton(z, cfg, settings, s0, g0)
+    pair, _polished = _newton(z, cfg, settings, s0, g0)
     if pair is None:
         pair = _solve_warm(z, cfg, settings, s0, g0)
     return pair
@@ -253,8 +256,12 @@ def boundary_value(x: float, cfg: ModelConfig, settings: SolveSettings = DEFAULT
 
     Off the support the limit pair is real. When the imaginary parts of the
     v = 0 pair are already a small fraction of the magnitudes, Newton solves
-    once more from its real parts, so the iterates stay exactly real; the
-    complex pair is kept if that solve is rejected.
+    once more from its real parts, so the iterates stay exactly real. The
+    real pair replaces the complex one only when Newton polished it or its
+    residuals are no larger than the complex pair's. Next to a square-root
+    edge inside the support a real point's residual is of order (Im s)^2,
+    below tol within about 1e-11 of the edge, yet it stays above both of
+    those, so the complex pair is kept there.
     """
     if x == 0.0:
         raise ValueError("boundary values are undefined at x = 0")
@@ -282,9 +289,11 @@ def boundary_value(x: float, cfg: ModelConfig, settings: SolveSettings = DEFAULT
         # Newton only: from a real start every fixed-point iterate stays
         # real, so on the support, where no real root exists, the fixed
         # point would spend its whole budget at each damping rung
-        real_pair = _newton(
+        real_pair, polished = _newton(
             complex(x, 0.0), cfg, settings, complex(s.real, 0.0), complex(g.real, 0.0)
         )
-        if real_pair is not None:
+        if real_pair is not None and (
+            polished or max(residual_713(real_pair, cfg)) <= max(residual_713(pair, cfg))
+        ):
             return real_pair
     return pair

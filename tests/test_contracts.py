@@ -1,4 +1,4 @@
-"""Error-path and environment contracts that cut across modules."""
+"""Error-path contracts that cut across modules."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from specsep import (
     find_gaps,
     materialize_pairs,
     predict_counts,
-    run_trials,
     sample_B,
 )
 from specsep import solver as solver_mod
@@ -93,24 +92,6 @@ def test_density_flags_vmin_fallbacks(mp_config, monkeypatch, tmp_path, capsys):
     fallback = (tmp_path / "fallback" / "density.csv").read_text().splitlines()
     assert len(fallback) == len(plain) == 4
     assert [fallback[i] for i in (0, 1, 3)] == [plain[i] for i in (0, 1, 3)]
-
-
-def test_threaded_trials_match_sequential(two_atom_config, monkeypatch):
-    gaps = find_gaps(two_atom_config)
-    pairs = materialize_pairs(two_atom_config.spectrum, 40)
-    preds = [predict_counts(g, pairs, two_atom_config) for g in gaps]
-    sim = SimConfig(
-        spectrum=two_atom_config.spectrum, n=400, p=40, trials=8, seed=555
-    )
-    monkeypatch.delenv("SPECSEP_THREADS", raising=False)
-    seq = run_trials(sim, gaps, preds)
-    monkeypatch.setenv("SPECSEP_THREADS", "4")
-    par = run_trials(sim, gaps, preds)
-    for a, b in zip(seq.trials, par.trials):
-        assert a.trial_index == b.trial_index
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert a.counts == b.counts
-    assert seq.all_gaps_match_frequency == par.all_gaps_match_frequency
 
 
 def test_complex_entries_pipeline(two_atom_spectrum):

@@ -1,81 +1,46 @@
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from specsep import _kernels as K
-
-PROBE = """
-import json
-import numpy as np
-from specsep import _kernels as K
-from specsep import JointSpectrum, ModelConfig, boundary_value, find_gaps, solve_at
-
-u = np.array([0.0, 2.0, 8.0])
-t = np.array([1.0, 0.7, 1.3])
-w = np.array([0.3, 0.3, 0.4])
-y = 0.2
-
-s, g, r1, r2, it, st = K.fixed_point(
-    complex(2.5, 0.05), u, t, w, y, -1/(2.5+0.05j), -1/(2.5+0.05j), 1e-10, 10000, 0.5
-)
-root, res, st2 = K.solve_s(-0.4, u, t, w, y, -0.4)
-cfg = ModelConfig(JointSpectrum.from_atoms(list(zip(u, t, w))), y)
-pair = boundary_value(12.0, cfg)
-gaps = find_gaps(cfg)
-print(json.dumps({
-    "numba": K.NUMBA_ENABLED,
-    "s": [s.real, s.imag],
-    "g": [g.real, g.imag],
-    "root": root,
-    "boundary": [pair.s_under.real, pair.s_under.imag],
-    "gap_edges": [[gp.a, gp.b if gp.b != float("inf") else None] for gp in gaps],
-}))
-"""
-
-
-def run_probe(numba_flag: str) -> dict:
-    env = dict(os.environ)
-    env["SPECSEP_NUMBA"] = numba_flag
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
-        check=True, timeout=600,
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-@pytest.mark.slow
-def test_numpy_fallback_matches_numba_path():
-    fast = run_probe("1")
-    slow = run_probe("0")
-    assert slow["numba"] is False
-    assert np.allclose(fast["s"], slow["s"], rtol=0, atol=1e-12)
-    assert np.allclose(fast["g"], slow["g"], rtol=0, atol=1e-12)
-    assert np.isclose(fast["root"], slow["root"], rtol=0, atol=1e-13)
-    assert np.allclose(fast["boundary"], slow["boundary"], rtol=0, atol=1e-10)
-    assert len(fast["gap_edges"]) == len(slow["gap_edges"])
-    for fe, se in zip(fast["gap_edges"], slow["gap_edges"]):
-        assert (fe[1] is None) == (se[1] is None)
-        assert np.isclose(fe[0], se[0], rtol=0, atol=1e-9)
-        if fe[1] is not None:
-            assert np.isclose(fe[1], se[1], rtol=0, atol=1e-9)
-
-
-def test_env_flag_parsing(monkeypatch):
-    monkeypatch.setenv("SPECSEP_NUMBA", "0")
-    assert K._numba_requested() is False
-    monkeypatch.setenv("SPECSEP_NUMBA", "off")
-    assert K._numba_requested() is False
-    monkeypatch.setenv("SPECSEP_NUMBA", "1")
-    assert K._numba_requested() is True
-    monkeypatch.delenv("SPECSEP_NUMBA")
-    assert K._numba_requested() is True
+from specsep import x_of_g
+from specsep.spectrum import spectrum_arrays
 
 
 def test_status_codes_are_distinct():
     assert len({K.OK, K.NO_CONVERGE, K.POLE, K.NO_BRACKET, K.SINGULAR}) == 5
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(K, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(K, name, counting)
+    return calls
+
+
+def test_nested_kernel_calls_go_through_module_globals(two_atom_config, monkeypatch):
+    # the benchmark's trace and the stall test wrap kernels by setting module
+    # attributes; a kernel that bound another one locally would bypass them
+    u, t, w = spectrum_arrays(two_atom_config.spectrum)
+    y = two_atom_config.y
+    gs = -np.geomspace(0.05, 0.5, 7)
+    plain = K.sweep(gs, u, t, w, y)
+
+    calls = _count_calls(monkeypatch, ("phi", "branch"))
+    wrapped = K.sweep(gs, u, t, w, y)
+    assert calls["branch"] == len(gs)
+    assert calls["phi"] >= len(gs)
+    for a, b in zip(plain, wrapped):
+        np.testing.assert_array_equal(a, b)
+
+    calls["phi"] = calls["branch"] = 0
+    point = x_of_g(-0.3, two_atom_config)
+    assert calls["branch"] == 1
+    assert calls["phi"] >= 1
+    assert np.isfinite(point.x)

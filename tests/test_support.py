@@ -237,6 +237,19 @@ class TestNearEdgeSolve:
         assert statuses
         assert K.NO_CONVERGE not in statuses
 
+    @pytest.mark.parametrize("d", [1e-12, 1e-13])
+    def test_density_within_1e_12_of_mp_edges(self, mp_config, d):
+        # a real pair's residual there is of order (Im s)^2, below tol, but
+        # the complex pair with the closed-form density must be kept
+        lo, hi = mp_edges(0.25)
+        inside = np.array([hi - d, lo + d])
+        curve = density(mp_config, inside)
+        ref = mp_density(inside, 0.25)
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(curve.f - ref) / ref) <= 1e-2
+        for x in (hi + d, lo - d):
+            assert boundary_value(x, mp_config).s_under.imag == 0.0
+
     def test_pairs_inside_gaps_are_exactly_real(self, two_atom_config):
         for gap in find_gaps(two_atom_config):
             b = gap.a + UNBOUNDED_SPAN if gap.unbounded else gap.b
