@@ -32,6 +32,9 @@ SINGULAR = 4
 
 # Magnitudes below this count as a pole.
 POLE_EPS = 1e-14
+# Double precision cannot push |z - RHS| below about this times |z|, so the
+# solvers' residual target is max(tol, RESIDUAL_FLOOR * |z|).
+RESIDUAL_FLOOR = 1e-14
 
 
 def atom_sums(s, g, u, t, w):
@@ -83,12 +86,7 @@ def fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
     r2 = np.inf
     if abs(z) < POLE_EPS:
         return s, g, r1, r2, 0, POLE
-    # double precision cannot push |z - RHS| below ~eps*|z|; keep the
-    # absolute target whenever it is attainable
-    tol_eff = tol
-    floor = abs(z) * 1e-14
-    if floor > tol_eff:
-        tol_eff = floor
+    tol_eff = max(tol, abs(z) * RESIDUAL_FLOOR)
     for it in range(max_iter):
         sum0, sumt, min_ad = atom_sums(s, g, u, t, w)
         if min_ad < POLE_EPS:
@@ -122,10 +120,7 @@ def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
     g = g0
     if abs(z) < POLE_EPS:
         return s, g, np.inf, np.inf, 0, POLE
-    tol_eff = tol
-    floor = abs(z) * 1e-14
-    if floor > tol_eff:
-        tol_eff = floor
+    tol_eff = max(tol, abs(z) * RESIDUAL_FLOOR)
     n = u.shape[0]
     r1, r2, status = residual_pair(z, s, g, u, t, w, y)
     if status != OK:

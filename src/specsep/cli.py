@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import SolverError, SpecsepError, SpectrumError
 from .separation import CONVENTIONS, predict_counts
 from .simulate import SimConfig, run_trials, write_eigenvalue_csv
-from .solver import SolveSettings
+from .solver import DEFAULT_SETTINGS, SolveSettings
 from .spectrum import JointSpectrum, ModelConfig, materialize_pairs
 from .support import SpectralGap, density, find_gaps
 
@@ -69,11 +69,11 @@ def load_config(path: str) -> RunConfig:
     solve_raw = raw.get("solve", {})
     try:
         solve = SolveSettings(
-            tol=float(solve_raw.get("tol", 1e-10)),
-            max_iter=int(solve_raw.get("max_iter", 10000)),
-            damping=float(solve_raw.get("damping", 0.5)),
-            v_start=float(solve_raw.get("v_start", 1.0)),
-            v_min=float(solve_raw.get("v_min", 1e-8)),
+            tol=float(solve_raw.get("tol", DEFAULT_SETTINGS.tol)),
+            max_iter=int(solve_raw.get("max_iter", DEFAULT_SETTINGS.max_iter)),
+            damping=float(solve_raw.get("damping", DEFAULT_SETTINGS.damping)),
+            v_start=float(solve_raw.get("v_start", DEFAULT_SETTINGS.v_start)),
+            v_min=float(solve_raw.get("v_min", DEFAULT_SETTINGS.v_min)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solve settings: {exc}") from exc

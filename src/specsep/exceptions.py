@@ -18,7 +18,7 @@ class PoleError(SolverError):
 
 
 class ConvergenceError(SolverError):
-    """Fixed-point iteration exhausted its budget.
+    """Fixed-point iteration failed: its budget ran out or a pole guard tripped.
 
     Attributes carry the evaluation point and the last residuals so callers
     can report or retry with different settings.

@@ -1,13 +1,15 @@
 """Coupled companion-transform solver on the upper half-plane and real axis.
 
 The system couples two scalar transforms (s, g) of the limiting spectral
-distribution through atom denominators 1 + u*g + t*s. ``solve_at`` finds
-the unique upper-half-plane solution by damped fixed-point iteration.
-``boundary_value`` continues it down to the real axis along a ladder of
-heights that shrink by a decade per rung: a fixed-point solve at the top
-rung, Newton warm-started from the rung above at every later one, and the
-fixed point again wherever Newton's result fails the residual or the
-upper-half-plane check.
+distribution through atom denominators 1 + u*g + t*s. There is one solve
+primitive. ``solve_at`` runs one damped fixed point from s = g = -1/z and
+polishes it with Newton; it raises ConvergenceError when the fixed point
+fails. ``boundary_value`` solves the top rung of a ladder of heights the
+same way, then runs one Newton solve per rung, warm-started from the rung
+above, as the height shrinks by a decade per rung down to the real axis.
+A rung above the axis whose Newton result fails the residual or the
+upper-half-plane check raises ContinuationError; at the axis the last pair
+above it is returned instead.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ class SolveSettings:
     """Tolerances and budgets for the solver and the continuation ladder.
 
     tol bounds both residuals of an accepted pair, at every rung of the
-    ladder. max_iter and damping are the fixed point's budget and first
-    damping factor. boundary_value's ladder starts at height v_start and
+    ladder. max_iter and damping are the iteration budget and the damping
+    factor of the one fixed-point solve that starts ``solve_at`` and
+    ``boundary_value``. boundary_value's ladder starts at height v_start and
     divides it by LADDER_RATIO per rung down to v_min, the last height
-    above the axis; its pair is the fallback when the v = 0 polish fails.
+    above the axis; its pair is the fallback when the v = 0 Newton solve
+    fails.
     """
 
     tol: float = 1e-10
@@ -58,8 +62,10 @@ DEFAULT_SETTINGS = SolveSettings()
 
 # boundary_value divides the height by this factor from one rung to the next
 LADDER_RATIO = 10.0
-# Newton steps allowed per rung before the fixed point takes over
+# Newton steps allowed per solve (a rung, or the polish after the fixed point)
 NEWTON_MAX_ITER = 50
+# Newton polishes toward settings.tol * POLISH_FACTOR
+POLISH_FACTOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -136,63 +142,56 @@ def constraint_residual(pair: StieltjesPair, cfg: ModelConfig) -> float:
     )
 
 
-def _damping_ladder(first: float):
-    ladder = [first]
-    for d in (0.25, 0.1, 0.05):
-        if d < ladder[-1]:
-            ladder.append(d)
-    return ladder
+def _newton(z, cfg, settings, s0, g0):
+    """Newton from (s0, g0) toward the polish target.
 
-
-def _solve_warm(z, cfg, settings, s0, g0):
-    """Fixed-point solve from an explicit starting pair.
-
-    On a stall (critical slowing near support edges) a damped Newton
-    polish takes over from the last iterate; remaining failures retry the
-    fixed point with heavier damping from the canonical guess.
+    Returns (pair, holds, polished): the pair Newton ended at; whether it
+    holds, that is both residuals are below settings.tol and both imaginary
+    parts are non-negative; and whether Newton reached settings.tol *
+    POLISH_FACTOR or the kernel's floor RESIDUAL_FLOOR * |z|. Newton only
+    accepts steps that lower the residual, so it never ends worse than its
+    start. s0 and g0 reach the kernel unconverted: the ladder passes Python
+    complex scalars and the polish the fixed point's numpy ones, which round
+    Newton's divisions differently in the last bits.
     """
     u, t, w = spectrum_arrays(cfg.spectrum)
-    last = (np.inf, np.inf)
-    iters = 0
-    for damping in _damping_ladder(settings.damping):
-        s, g, r1, r2, it, status = K.fixed_point(
-            complex(z), u, t, w, cfg.y, complex(s0), complex(g0),
-            settings.tol, settings.max_iter, damping,
-        )
-        iters += it
-        if status == K.OK:
-            # polish toward machine residuals; Newton only accepts
-            # improving steps, so the contract never degrades
-            s2, g2, q1, q2, _it, _st = K.newton_pair(
-                complex(z), u, t, w, cfg.y, s, g, settings.tol * 1e-4, 25
-            )
-            if max(q1, q2) <= max(r1, r2):
-                s, g = s2, g2
-            return StieltjesPair(z=complex(z), s_under=s, g_under=g)
-        if status == K.NO_CONVERGE:
-            s, g, r1, r2, it, status = K.newton_pair(
-                complex(z), u, t, w, cfg.y, s, g, settings.tol, 100
-            )
-            iters += it
-            if status == K.OK:
-                return StieltjesPair(z=complex(z), s_under=s, g_under=g)
-        last = (float(r1), float(r2))
-        # restart heavier damping from the canonical guess
-        s0 = g0 = -1.0 / complex(z)
-    raise ConvergenceError(z, last, iters)
+    s, g, r1, r2, _it, status = K.newton_pair(
+        complex(z), u, t, w, cfg.y, s0, g0,
+        settings.tol * POLISH_FACTOR, NEWTON_MAX_ITER,
+    )
+    holds = max(r1, r2) < settings.tol and s.imag >= 0.0 and g.imag >= 0.0
+    return StieltjesPair(z=complex(z), s_under=s, g_under=g), holds, status == K.OK
+
+
+def _cold(z, cfg, settings):
+    """Damped fixed point from s = g = -1/z, then one Newton polish.
+
+    Raises ConvergenceError when the fixed point fails: its budget ran out
+    before both residuals fell below settings.tol, or a pole guard tripped.
+    """
+    u, t, w = spectrum_arrays(cfg.spectrum)
+    start = -1.0 / z
+    s, g, r1, r2, it, status = K.fixed_point(
+        z, u, t, w, cfg.y, start, start,
+        settings.tol, settings.max_iter, settings.damping,
+    )
+    if status != K.OK:
+        raise ConvergenceError(z, (float(r1), float(r2)), it)
+    return _newton(z, cfg, settings, s, g)[0]
 
 
 def solve_at(z: complex, cfg: ModelConfig, settings: SolveSettings = DEFAULT_SETTINGS) -> StieltjesPair:
     """Unique upper-half-plane solution pair at z (requires Im z > 0).
 
     Starts from s = g = -1/z, exact in the y -> 0 and |z| -> infinity
-    limits, and damps the alternating update until both residuals drop
-    below settings.tol.
+    limits, damps the alternating update until both residuals drop below
+    settings.tol, and polishes the result with Newton. Raises
+    ConvergenceError when the fixed point fails.
     """
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError(f"solve_at requires Im z > 0, got z={z!r}")
-    return _solve_warm(z, cfg, settings, -1.0 / z, -1.0 / z)
+    return _cold(z, cfg, settings)
 
 
 def _ladder_heights(settings):
@@ -212,47 +211,17 @@ def _ladder_heights(settings):
         v = max(settings.v_start / LADDER_RATIO**k, settings.v_min)
 
 
-def _newton(z, cfg, settings, s0, g0):
-    """Newton from (s0, g0), polished toward machine residuals.
-
-    Returns (pair, polished). pair is None unless both residuals are below
-    settings.tol and both imaginary parts are non-negative; polished says
-    whether Newton reached its polish target, settings.tol * 1e-4 or the
-    kernel's floor 1e-14 * |z|.
-    """
-    u, t, w = spectrum_arrays(cfg.spectrum)
-    s, g, r1, r2, _it, status = K.newton_pair(
-        complex(z), u, t, w, cfg.y, complex(s0), complex(g0),
-        settings.tol * 1e-4, NEWTON_MAX_ITER,
-    )
-    polished = status == K.OK
-    if max(r1, r2) < settings.tol and s.imag >= 0.0 and g.imag >= 0.0:
-        return StieltjesPair(z=complex(z), s_under=s, g_under=g), polished
-    return None, polished
-
-
-def _rung(z, cfg, settings, s0, g0):
-    """One height of the ladder, solved from the pair one height up.
-
-    Newton first; the damped fixed point from the same start when Newton's
-    result is rejected. Raises ConvergenceError when both fail.
-    """
-    pair, _polished = _newton(z, cfg, settings, s0, g0)
-    if pair is None:
-        pair = _solve_warm(z, cfg, settings, s0, g0)
-    return pair
-
-
 def boundary_value(x: float, cfg: ModelConfig, settings: SolveSettings = DEFAULT_SETTINGS) -> StieltjesPair:
     """Real-axis limit of the solution pair at x != 0.
 
     Walks a decade ladder of heights v_start, v_start/10, ..., clamped to
-    v_min, then v = 0. The first height is a cold fixed-point solve from
-    s = g = -1/z; every later height is a Newton solve warm-started from the
-    pair one height up, with the fixed point as its fallback (``_rung``).
-    A height above the axis that neither solves raises ContinuationError.
-    When the v = 0 polish fails, the v_min pair is returned: its ``z`` keeps
-    Im z = v_min, which is how callers tell the fallback apart.
+    v_min, then v = 0. The first height is solved cold, as ``solve_at``
+    does; every later height is one Newton solve warm-started from the pair
+    one height up. A height above the axis whose pair does not hold (both
+    residuals below tol, both imaginary parts non-negative) raises
+    ContinuationError(x, v). When the v = 0 pair does not hold, the v_min
+    pair is returned: its ``z`` keeps Im z = v_min, which is how callers
+    tell the fallback apart.
 
     Off the support the limit pair is real. When the imaginary parts of the
     v = 0 pair are already a small fraction of the magnitudes, Newton solves
@@ -267,33 +236,34 @@ def boundary_value(x: float, cfg: ModelConfig, settings: SolveSettings = DEFAULT
         raise ValueError("boundary values are undefined at x = 0")
     heights = _ladder_heights(settings)
     v = next(heights)
-    z = complex(x, v)
     try:
-        pair = _solve_warm(z, cfg, settings, -1.0 / z, -1.0 / z)
-        for v in heights:
-            pair = _rung(complex(x, v), cfg, settings, pair.s_under, pair.g_under)
+        pair = _cold(complex(x, v), cfg, settings)
     except ConvergenceError as exc:
         raise ContinuationError(x, v) from exc
+    for v in heights:
+        pair, holds, _polished = _newton(
+            complex(x, v), cfg, settings, complex(pair.s_under), complex(pair.g_under)
+        )
+        if not holds:
+            raise ContinuationError(x, v)
 
-    try:
-        pair = _rung(complex(x, 0.0), cfg, settings, pair.s_under, pair.g_under)
-    except ConvergenceError:
+    axis, holds, _polished = _newton(
+        complex(x, 0.0), cfg, settings, complex(pair.s_under), complex(pair.g_under)
+    )
+    if not holds:
         return pair
 
-    s, g = pair.s_under, pair.g_under
+    s, g = axis.s_under, axis.g_under
     rel_im = max(
         abs(s.imag) / max(1.0, abs(s)),
         abs(g.imag) / max(1.0, abs(g)),
     )
     if rel_im < 1e-3:
-        # Newton only: from a real start every fixed-point iterate stays
-        # real, so on the support, where no real root exists, the fixed
-        # point would spend its whole budget at each damping rung
-        real_pair, polished = _newton(
+        real, holds, polished = _newton(
             complex(x, 0.0), cfg, settings, complex(s.real, 0.0), complex(g.real, 0.0)
         )
-        if real_pair is not None and (
-            polished or max(residual_713(real_pair, cfg)) <= max(residual_713(pair, cfg))
+        if holds and (
+            polished or max(residual_713(real, cfg)) <= max(residual_713(axis, cfg))
         ):
-            return real_pair
-    return pair
+            return real
+    return axis

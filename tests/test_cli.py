@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from specsep.cli import main
+from specsep import SolveSettings
+from specsep.cli import load_config, main
 
 from oracles import mp_density, mp_edges
 
@@ -194,6 +196,13 @@ class TestConfigHandling:
             json.dumps({"y": 0.25, "spectrum": [{"u": 0.0, "t": 0.0, "weight": 1.0}]})
         )
         assert main(["gaps", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_solve_defaults_come_from_solve_settings(self, tmp_path):
+        atoms = [(0.0, 1.0, 1.0)]
+        path = write_config(tmp_path / "cfg.json", 0.25, atoms)
+        assert load_config(path).solve == SolveSettings()
+        path = write_config(tmp_path / "cfg.json", 0.25, atoms, solve={"tol": 1e-9, "v_min": 1e-6})
+        assert load_config(path).solve == dataclasses.replace(SolveSettings(), tol=1e-9, v_min=1e-6)
 
     def test_p_derived_from_y_and_n(self, tmp_path):
         # p = round(y*n), keeping |p/n - y| <= 1/n by construction

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from specsep import (
+    ContinuationError,
+    ConvergenceError,
     JointSpectrum,
     ModelConfig,
     PoleError,
@@ -170,30 +172,51 @@ class TestBoundaryValue:
         r1, r2 = residual_713(pair, mp_config)
         assert r1 < settings.tol and r2 < settings.tol
 
-    def test_fixed_point_takes_over_when_newton_fails(self, mp_config, monkeypatch):
-        # every rung's Newton result is rejected, so each height falls back
-        # to the damped fixed point from the same start
-        heights = []
-        real_fixed_point = K.fixed_point
-
+    def test_rejected_rung_above_axis_raises(self, mp_config, monkeypatch):
+        # Newton never moves: the polish after the cold fixed point keeps its
+        # pair, and the first Newton rung, at v = 0.1, is rejected
         def no_newton(z, u, t, w, y, s0, g0, tol, max_iter):
             return s0, g0, np.inf, np.inf, 0, K.NO_CONVERGE
 
-        def recording(*args):
-            heights.append(args[0].imag)
-            return real_fixed_point(*args)
-
         monkeypatch.setattr(K, "newton_pair", no_newton)
-        monkeypatch.setattr(K, "fixed_point", recording)
-        pair = boundary_value(1.0, mp_config)
-        assert pair.z.imag == 0.0
-        assert abs(pair.s_under.imag / (0.25 * np.pi) - mp_density(1.0, 0.25)) < 1e-6
-        assert heights[:9] == [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
-        assert heights[9:] == [0.0]
+        with pytest.raises(ContinuationError) as info:
+            boundary_value(1.0, mp_config)
+        assert info.value.x == 1.0
+        assert info.value.v == 0.1
 
-        heights.clear()
-        pair = boundary_value(3.0, mp_config)
-        assert abs(pair.s_under - mp_boundary_companion(3.0, 0.25)) < 1e-9
+    def test_rejected_axis_rung_returns_v_min_pair(self, mp_config, monkeypatch):
+        heights = []
+        real_newton = K.newton_pair
+
+        def no_newton_on_axis(z, u, t, w, y, s0, g0, tol, max_iter):
+            heights.append(z.imag)
+            if z.imag == 0.0:
+                return s0, g0, np.inf, np.inf, 0, K.NO_CONVERGE
+            return real_newton(z, u, t, w, y, s0, g0, tol, max_iter)
+
+        monkeypatch.setattr(K, "newton_pair", no_newton_on_axis)
+        settings = SolveSettings()
+        pair = boundary_value(1.0, mp_config, settings)
+        # the cold top rung's polish, one Newton rung per decade, the axis
+        assert heights == [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.0]
+        assert pair.z == complex(1.0, settings.v_min)
+        oracle = mp_companion_transform(pair.z, 0.25)
+        assert abs(pair.s_under - oracle) < 1e-9
+        assert abs(pair.g_under - oracle) < 1e-9
+
+    def test_failed_fixed_point_raises(self, mp_config, monkeypatch):
+        def no_fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
+            return s0, g0, 1.0, 1.0, max_iter, K.NO_CONVERGE
+
+        monkeypatch.setattr(K, "fixed_point", no_fixed_point)
+        with pytest.raises(ConvergenceError) as info:
+            solve_at(1.0 + 1.0j, mp_config)
+        assert info.value.z == 1.0 + 1.0j
+        settings = SolveSettings(v_start=0.5)
+        with pytest.raises(ContinuationError) as info:
+            boundary_value(1.0, mp_config, settings)
+        assert info.value.v == settings.v_start
+        assert isinstance(info.value.__cause__, ConvergenceError)
 
 
 class TestInvariantBattery:

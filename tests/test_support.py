@@ -199,22 +199,45 @@ class TestFindGaps:
             assert pair.s_under.real == pytest.approx(br.s, abs=1e-6)
             assert pair.g_under.real == pytest.approx(br.g, abs=1e-6)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the real-branch sweep accepts a root of the coupling constraint "
-        "off the branch through s = g for g in about (-0.368, -0.311), which "
-        "reports the spurious gap (0.565, 0.871) inside the support",
+    @pytest.mark.parametrize(
+        "atoms, y",
+        [
+            pytest.param(
+                [(0.0, 1.0, 0.3), (2.0, 0.7, 0.3), (8.0, 1.3, 0.4)],
+                0.2,
+                id="defect-A",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the real-branch sweep accepts a root of the coupling "
+                    "constraint off the branch through s = g for g in about "
+                    "(-0.368, -0.311), which reports the spurious gap "
+                    "(0.565, 0.871) inside the support",
+                ),
+            ),
+            pytest.param(
+                [(0.0, 1.0, 0.2), (3.0, 0.5, 0.5), (9.0, 2.0, 0.3)],
+                0.05,
+                id="defect-B",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the real-branch sweep accepts a root of the coupling "
+                    "constraint off the branch near g = -0.26, which stretches "
+                    "the lowest gap to (0, 0.82494) though the support starts "
+                    "at 0.76553",
+                ),
+            ),
+        ],
     )
-    def test_three_atom_gaps_hold_real_boundary_values(self):
-        cfg = ModelConfig(
-            JointSpectrum.from_atoms([(0.0, 1.0, 0.3), (2.0, 0.7, 0.3), (8.0, 1.3, 0.4)]),
-            0.2,
-        )
+    def test_three_atom_gaps_hold_real_boundary_values(self, atoms, y):
+        # the same 9 inset points as test_pairs_inside_gaps_are_exactly_real:
+        # defect B's gap midpoint, 0.41, lies in the true gap
+        cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
         for gap in find_gaps(cfg):
             b = gap.a + UNBOUNDED_SPAN if gap.unbounded else gap.b
-            x_mid = 0.5 * (gap.a + b)
-            pair = boundary_value(x_mid, cfg)
-            assert abs(pair.s_under.imag) < 1e-6, (gap, x_mid, pair.s_under)
+            inset = 0.05 * (b - gap.a)
+            for x in np.linspace(gap.a + inset, b - inset, 9):
+                pair = boundary_value(float(x), cfg)
+                assert abs(pair.s_under.imag) < 1e-6, (gap, x, pair.s_under)
 
 
 class TestNearEdgeSolve:
