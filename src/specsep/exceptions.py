@@ -49,7 +49,7 @@ class SingularTransformError(SolverError, ValueError):
 
 
 class BracketError(SolverError):
-    """No sign change found when bracketing a real root."""
+    """No real root reached on the branch: Newton left its pole-free interval or stalled."""
 
 
 class CoarseGridError(SpecsepError):

@@ -18,12 +18,9 @@ import numpy as np
 from .exceptions import NotInGapError, SignConstancyError
 from .solver import DEFAULT_SETTINGS, SolveSettings, boundary_value
 from .spectrum import ModelConfig
-from .support import SpectralGap
+from .support import GAP_IMAG_TOL, UNBOUNDED_SPAN, SpectralGap
 
 CONVENTIONS = ("derivation", "theorem")
-
-GAP_IMAG_TOL = 1e-6
-UNBOUNDED_SPAN = 10.0
 
 
 @dataclass(frozen=True)

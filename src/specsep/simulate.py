@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SpectrumError
-from .separation import UNBOUNDED_SPAN, SeparationPrediction
+from .separation import SeparationPrediction
 from .spectrum import JointSpectrum, materialize_pairs, validate
-from .support import SpectralGap
+from .support import UNBOUNDED_SPAN, SpectralGap
 
 NOISE_LAWS = ("standard_gaussian", "rademacher", "uniform_standardized")
 

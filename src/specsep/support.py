@@ -5,6 +5,15 @@ branch where x is the inverse map of the transform pair. Points with
 dx/dg > 0 lie in the complement of the support; stationary points of x are
 support edges. Gaps are found by sweeping g, grouping dx/dg > 0 runs with
 a consistent atom-denominator sign pattern, and refining run boundaries.
+
+The sweep (``_kernels.sweep``) follows the branch outward from g -> 0,
+where s = g: each grid point is predicted from the last one by the tangent
+s'(g) and corrected by Newton, and a root that lands far from the
+prediction lies on another branch and is declined. Run boundaries are
+refined by Brent on dx/dg, each evaluation seeded on the chord of the
+sweep's s across the bracketing cell, so the refinement stays on the same
+branch. Each reported gap is then checked once against ``boundary_value``
+at its midpoint; a pair that is not real there raises NotInGapError.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from .exceptions import (
     CoarseGridError,
     ContinuationError,
     GapTrackingError,
+    NotInGapError,
     PoleError,
 )
 from .solver import DEFAULT_SETTINGS, SolveSettings, boundary_value
@@ -31,6 +41,10 @@ DEFAULT_G_INNER = 1e-6
 DEFAULT_N_GRID = 4000
 
 ROOT_RESIDUAL_TOL = 1e-12
+# A boundary pair with |Im s| at or above this is not inside a gap.
+GAP_IMAG_TOL = 1e-6
+# Unbounded gaps (a, inf) are sampled on (a, a + UNBOUNDED_SPAN).
+UNBOUNDED_SPAN = 10.0
 
 
 @dataclass(frozen=True)
@@ -94,28 +108,37 @@ def solve_s_given_g(g: float, cfg: ModelConfig) -> float:
     """Real solution s of the coupling constraint on the branch through s = g.
 
     The branch is pinned by continuity: when the u-moment of the spectrum
-    vanishes the constraint degenerates to s = g, so the root nearest to g
-    inside its pole-free interval is returned.
+    vanishes the constraint degenerates to s = g. This is one cold Newton
+    solve from that pin, inside its pole-free interval; it raises
+    BracketError when Newton leaves the interval or stalls (past a fold of
+    the branch), or when |phi| at the root exceeds ROOT_RESIDUAL_TOL.
+    ``find_gaps`` instead follows the branch from g -> 0, which a cold
+    solve far from the pin does not guarantee.
     """
     if g == 0.0:
         raise ValueError("the real branch is parametrized by g != 0")
     u, t, w = spectrum_arrays(cfg.spectrum)
-    s, res, status = K.solve_s(float(g), u, t, w, cfg.y, float(g))
+    g = float(g)
+    s, _res, status = K.solve_s(g, u, t, w, cfg.y, g)
     if status != K.OK:
-        raise BracketError(f"no sign change bracketing a root at g={g} (status {status})")
+        raise BracketError(f"no real root on the branch from s = g at g={g} (status {status})")
+    res = abs(K.phi(g, s, u, t, w, cfg.y))
     if res > ROOT_RESIDUAL_TOL:
         raise BracketError(f"root residual {res:.3e} above {ROOT_RESIDUAL_TOL} at g={g}")
     return float(s)
 
 
 def x_of_g(g: float, cfg: ModelConfig) -> RealBranch:
-    """Full real-branch point at g: s, x, and the analytic dx/dg."""
+    """Full real-branch point at g: s, x, and the analytic dx/dg.
+
+    Like ``solve_s_given_g``, one cold solve from the pin s = g.
+    """
     if g == 0.0:
         raise ValueError("the real branch is parametrized by g != 0")
     u, t, w = spectrum_arrays(cfg.spectrum)
-    s, x, dx_dg, _min_ad, status = K.branch(float(g), u, t, w, cfg.y, float(g))
+    s, x, dx_dg, _ds_dg, status = K.branch(float(g), u, t, w, cfg.y, float(g))
     if status == K.NO_BRACKET:
-        raise BracketError(f"no sign change bracketing a root at g={g}")
+        raise BracketError(f"no real root on the branch from s = g at g={g}")
     if status == K.POLE:
         raise PoleError(f"atom denominator vanished on the real branch at g={g}")
     if status == K.SINGULAR:
@@ -128,20 +151,33 @@ def _log_grid(lo_abs: float, hi_abs: float, n: int, sign: float) -> np.ndarray:
     return np.sort(grid)
 
 
-def _sign_rows_match(den_a: np.ndarray, den_b: np.ndarray) -> bool:
-    return bool(np.all(np.sign(den_a) == np.sign(den_b)))
+def _seeded_branch(g, cell, u, t, w, y):
+    """Branch point at g inside a swept cell, seeded on the sweep's chord.
+
+    cell = (g0, s0, g1, s1) holds two accepted sweep points; Newton starts
+    from the chord through them, so it stays on the branch the sweep
+    followed (a cold start from s = g can reach another real root).
+    Returns (x, dx_dg).
+    """
+    g0, s0, g1, s1 = cell
+    seed = s0 + (s1 - s0) / (g1 - g0) * (g - g0)
+    _s, x, dx_dg, _ds, status = K.branch(float(g), u, t, w, y, seed)
+    if status != K.OK:
+        raise CoarseGridError(
+            f"branch evaluation failed at g={g} while refining; raise n_grid"
+        )
+    return x, dx_dg
 
 
-def _refine_stationary(g_left, g_right, u, t, w, y):
-    """Root of dx/dg on a bracketing cell, via Brent on the branch kernel."""
+def _refine_stationary(cell, u, t, w, y):
+    """Root g* of dx/dg on a bracketing cell, via Brent on the branch kernel.
+
+    Returns (g*, x(g*)), both from branch evaluations seeded on the cell.
+    """
+    g_left, g_right = sorted((cell[0], cell[2]))
 
     def dxdg(g):
-        _s, _x, d, _m, status = K.branch(float(g), u, t, w, y, float(g))
-        if status != K.OK:
-            raise CoarseGridError(
-                f"branch evaluation failed at g={g} while refining; raise n_grid"
-            )
-        return d
+        return _seeded_branch(g, cell, u, t, w, y)[1]
 
     try:
         g_star = brentq(dxdg, g_left, g_right, xtol=1e-13, rtol=8.9e-16, maxiter=200)
@@ -149,7 +185,19 @@ def _refine_stationary(g_left, g_right, u, t, w, y):
         raise CoarseGridError(
             f"no derivative sign change inside [{g_left}, {g_right}]; raise n_grid"
         ) from exc
-    return float(g_star)
+    g_star = float(g_star)
+    return g_star, float(_seeded_branch(g_star, cell, u, t, w, y)[0])
+
+
+def _check_gap(gap: SpectralGap, cfg: ModelConfig) -> None:
+    """Raise NotInGapError unless the boundary pair is real mid-gap."""
+    x = gap.a + 0.5 * UNBOUNDED_SPAN if gap.unbounded else 0.5 * (gap.a + gap.b)
+    pair = boundary_value(x, cfg)
+    if abs(pair.s_under.imag) >= GAP_IMAG_TOL:
+        raise NotInGapError(
+            f"reported gap ({gap.a}, {gap.b}) has |Im s|={abs(pair.s_under.imag):.3e} "
+            f"at x={x}; it is not a gap"
+        )
 
 
 def find_gaps(
@@ -164,7 +212,9 @@ def find_gaps(
     maximal runs where dx/dg > 0 with a per-atom constant denominator
     sign, refines finite run boundaries to stationary points of x, clamps
     the gap reached as g -> -inf to a = 0 (y < 1), and maps the run ending
-    at g -> 0- to the unbounded gap (sup of support, +inf).
+    at g -> 0- to the unbounded gap (sup of support, +inf). Raises
+    NotInGapError when the boundary pair at a reported gap's midpoint (at
+    a + UNBOUNDED_SPAN/2 for the unbounded gap) has |Im s| >= GAP_IMAG_TOL.
     """
     if n_grid < 100:
         raise ValueError(f"n_grid must be >= 100, got {n_grid}")
@@ -177,16 +227,16 @@ def find_gaps(
     for sign, bound in ((-1.0, abs(g_lo)), (1.0, abs(g_hi))):
         gs = _log_grid(DEFAULT_G_INNER, bound, n_grid, sign)
         s_arr, x_arr, dx_arr, status, den = K.sweep(gs, u, t, w, y)
-        good = (status == K.OK) & (dx_arr > 0.0)
+        good = ((status == K.OK) & (dx_arr > 0.0)).tolist()
+        # same_signs[i]: points i and i + 1 share every atom's denominator sign
+        same_signs = np.all(np.sign(den[1:]) == np.sign(den[:-1]), axis=1).tolist()
 
         runs = []
         start = None
         for i in range(len(gs)):
             if good[i] and start is None:
                 start = i
-            elif start is not None and (
-                not good[i] or not _sign_rows_match(den[i - 1], den[i])
-            ):
+            elif start is not None and not (good[i] and same_signs[i - 1]):
                 runs.append((start, i - 1))
                 start = i if good[i] else None
         if start is not None:
@@ -200,17 +250,17 @@ def find_gaps(
 
             if at_lower_boundary:
                 g_a, a = gs[i0], x_arr[i0]
-            elif status[i0 - 1] == K.OK and dx_arr[i0 - 1] <= 0.0 and _sign_rows_match(den[i0 - 1], den[i0]):
-                g_a = _refine_stationary(gs[i0 - 1], gs[i0], u, t, w, y)
-                a = x_of_g(g_a, cfg).x
+            elif status[i0 - 1] == K.OK and dx_arr[i0 - 1] <= 0.0 and same_signs[i0 - 1]:
+                cell = (gs[i0], s_arr[i0], gs[i0 - 1], s_arr[i0 - 1])
+                g_a, a = _refine_stationary(cell, u, t, w, y)
             else:
                 g_a, a = gs[i0], x_arr[i0]
 
             if at_upper_boundary:
                 g_b, b = gs[i1], x_arr[i1]
-            elif status[i1 + 1] == K.OK and dx_arr[i1 + 1] <= 0.0 and _sign_rows_match(den[i1], den[i1 + 1]):
-                g_b = _refine_stationary(gs[i1], gs[i1 + 1], u, t, w, y)
-                b = x_of_g(g_b, cfg).x
+            elif status[i1 + 1] == K.OK and dx_arr[i1 + 1] <= 0.0 and same_signs[i1]:
+                cell = (gs[i1], s_arr[i1], gs[i1 + 1], s_arr[i1 + 1])
+                g_b, b = _refine_stationary(cell, u, t, w, y)
             else:
                 g_b, b = gs[i1], x_arr[i1]
 
@@ -242,6 +292,8 @@ def find_gaps(
             )
         else:
             merged.append(gap)
+    for gap in merged:
+        _check_gap(gap, cfg)
     return merged
 
 

@@ -91,15 +91,17 @@ def two_atom_s_of_g(g: float, y: float) -> float:
     branch continuous with s = g as the coupling vanishes.
 
     The constraint reduces to (s - g)*(1 + 8g + s) + 4*y*g^2 = 0; of the two
-    quadratic roots the branch point is the one nearer to g.
+    quadratic roots the branch point is the one nearer to g. The roots are
+    q and c/q with q = -(b + sign(b)*sqrt(disc))/2, which avoids the
+    cancellation of (-b + sqrt(disc))/2 when |c| << b^2 (small |g|).
     """
     b = 1.0 + 7.0 * g
     c = -g * (1.0 + 8.0 * g) + 4.0 * y * g * g
     disc = b * b - 4.0 * c
     if disc < 0:
         raise ValueError("no real root (inside support)")
-    r1 = (-b + math.sqrt(disc)) / 2.0
-    r2 = (-b - math.sqrt(disc)) / 2.0
+    r1 = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    r2 = c / r1
     return r1 if abs(r1 - g) <= abs(r2 - g) else r2
 
 

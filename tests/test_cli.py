@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from specsep import SolveSettings
+from specsep import SolveSettings, StieltjesPair
+from specsep import support
 from specsep.cli import load_config, main
 
 from oracles import mp_density, mp_edges
@@ -114,6 +115,16 @@ class TestGapsCommand:
         assert len(gaps) == 3
         middle = gaps[1]
         assert middle["a"] < 5.0 < middle["b"]
+
+    def test_non_real_gap_exits_3_without_output(self, mp_json, tmp_path, monkeypatch):
+        def non_real(x, cfg, settings=None):
+            return StieltjesPair(z=complex(x), s_under=complex(-1.0, 0.1), g_under=-1.0)
+
+        monkeypatch.setattr(support, "boundary_value", non_real)
+        out = tmp_path / "out"
+        rc = main(["gaps", "--config", mp_json, "--out", str(out)])
+        assert rc == 3
+        assert not (out / "gaps.json").exists()
 
 
 class TestSeparateCommand:

@@ -3,8 +3,11 @@ from __future__ import annotations
 import numpy as np
 
 from specsep import _kernels as K
-from specsep import x_of_g
+from specsep import find_gaps, x_of_g
 from specsep.spectrum import spectrum_arrays
+from specsep.support import DEFAULT_G_BOUND, DEFAULT_G_INNER, DEFAULT_N_GRID
+
+from oracles import two_atom_s_of_g
 
 
 def test_status_codes_are_distinct():
@@ -44,3 +47,46 @@ def test_nested_kernel_calls_go_through_module_globals(two_atom_config, monkeypa
     assert calls["branch"] == 1
     assert calls["phi"] >= 1
     assert np.isfinite(point.x)
+
+
+def _grid(sign):
+    return np.sort(sign * np.geomspace(DEFAULT_G_INNER, DEFAULT_G_BOUND, DEFAULT_N_GRID))
+
+
+def test_sweep_points_match_closed_form_branch(two_atom_config):
+    u, t, w = spectrum_arrays(two_atom_config.spectrum)
+    y = two_atom_config.y
+    for sign in (-1.0, 1.0):
+        gs = _grid(sign)
+        s, _x, _d, status, _den = K.sweep(gs, u, t, w, y)
+        ok = status == K.OK
+        # only the points inside the support (no real root there) fail
+        assert np.count_nonzero(ok) >= len(gs) - 60
+        ref = np.array([two_atom_s_of_g(g, y) for g in gs[ok]])
+        np.testing.assert_allclose(s[ok], ref, rtol=1e-12, atol=0.0)
+
+
+def test_find_gaps_makes_few_phi_calls_per_sweep_point(two_atom_config, monkeypatch):
+    calls = _count_calls(monkeypatch, ("phi",))
+    points = []
+    real_sweep = K.sweep
+
+    def sweep(gs, *args):
+        points.append(len(gs))
+        return real_sweep(gs, *args)
+
+    monkeypatch.setattr(K, "sweep", sweep)
+    find_gaps(two_atom_config)
+    assert sum(points) == 2 * DEFAULT_N_GRID
+    assert calls["phi"] <= 5 * sum(points)
+
+
+def test_signal_free_sweep_costs_one_phi_call_per_point(mp_config, monkeypatch):
+    # u = 0: phi(g, s) = s - g, the predictor lands on s = g exactly
+    u, t, w = spectrum_arrays(mp_config.spectrum)
+    gs = _grid(-1.0)
+    calls = _count_calls(monkeypatch, ("phi", "branch"))
+    s, _x, _d, status, _den = K.sweep(gs, u, t, w, mp_config.y)
+    assert calls == {"phi": len(gs), "branch": len(gs)}
+    assert np.all(status == K.OK)
+    np.testing.assert_array_equal(s, gs)

@@ -10,6 +10,8 @@ from specsep import (
     GapTrackingError,
     JointSpectrum,
     ModelConfig,
+    NotInGapError,
+    StieltjesPair,
     boundary_value,
     density,
     find_gaps,
@@ -18,7 +20,8 @@ from specsep import (
     x_of_g,
 )
 from specsep import _kernels as K
-from specsep.separation import UNBOUNDED_SPAN
+from specsep import support
+from specsep.support import GAP_IMAG_TOL, UNBOUNDED_SPAN
 
 from oracles import (
     TWO_ATOM_GAPS_Y001,
@@ -87,6 +90,16 @@ class TestXOfG:
     def test_mp_closed_form_curve(self, mp_config):
         for g in (-5.0, -2.4, -0.55, -0.1):
             assert x_of_g(g, mp_config).x == pytest.approx(mp_x_of_g(g, 0.25), abs=1e-12)
+
+    def test_cold_solve_declines_root_off_the_branch(self):
+        # defect A's model: the branch through s = g folds near g = -0.312;
+        # at g = -0.33 the only real root left in the pole-free interval is
+        # s ~ 1.227, on another branch
+        cfg = ModelConfig(
+            JointSpectrum.from_atoms([(0.0, 1.0, 0.3), (2.0, 0.7, 0.3), (8.0, 1.3, 0.4)]), 0.2
+        )
+        with pytest.raises(BracketError):
+            x_of_g(-0.33, cfg)
 
     @pytest.mark.parametrize("g", [-5.0, -2.4, -0.55, -0.25, -0.08])
     def test_derivative_matches_finite_differences(self, two_atom_config, g):
@@ -200,44 +213,49 @@ class TestFindGaps:
             assert pair.g_under.real == pytest.approx(br.g, abs=1e-6)
 
     @pytest.mark.parametrize(
-        "atoms, y",
+        "atoms, y, n_gaps",
         [
+            # the sweep used to accept a root off the branch for g in about
+            # (-0.368, -0.311) and report the spurious gap (0.565, 0.871)
             pytest.param(
-                [(0.0, 1.0, 0.3), (2.0, 0.7, 0.3), (8.0, 1.3, 0.4)],
-                0.2,
-                id="defect-A",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the real-branch sweep accepts a root of the coupling "
-                    "constraint off the branch through s = g for g in about "
-                    "(-0.368, -0.311), which reports the spurious gap "
-                    "(0.565, 0.871) inside the support",
-                ),
+                [(0.0, 1.0, 0.3), (2.0, 0.7, 0.3), (8.0, 1.3, 0.4)], 0.2, 4, id="defect-A"
             ),
+            # an off-branch root near g = -0.26 stretched the lowest gap to
+            # (0, 0.82494); the support starts at 0.76553
             pytest.param(
-                [(0.0, 1.0, 0.2), (3.0, 0.5, 0.5), (9.0, 2.0, 0.3)],
-                0.05,
-                id="defect-B",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the real-branch sweep accepts a root of the coupling "
-                    "constraint off the branch near g = -0.26, which stretches "
-                    "the lowest gap to (0, 0.82494) though the support starts "
-                    "at 0.76553",
-                ),
+                [(0.0, 1.0, 0.2), (3.0, 0.5, 0.5), (9.0, 2.0, 0.3)], 0.05, 4, id="defect-B"
             ),
+            # an off-branch root merged the gaps (4.72561, 6.52308) and
+            # (14.98462, inf) into (4.72561, inf), dropping a support piece
+            # that holds half the eigenvalues
+            pytest.param([(1.0, 2.0, 0.5), (8.0, 2.0, 0.5)], 0.25, 3, id="defect-C"),
         ],
     )
-    def test_three_atom_gaps_hold_real_boundary_values(self, atoms, y):
+    def test_three_atom_gaps_hold_real_boundary_values(self, atoms, y, n_gaps):
         # the same 9 inset points as test_pairs_inside_gaps_are_exactly_real:
         # defect B's gap midpoint, 0.41, lies in the true gap
         cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
-        for gap in find_gaps(cfg):
+        gaps = find_gaps(cfg)
+        assert len(gaps) == n_gaps
+        for gap in gaps:
             b = gap.a + UNBOUNDED_SPAN if gap.unbounded else gap.b
             inset = 0.05 * (b - gap.a)
             for x in np.linspace(gap.a + inset, b - inset, 9):
                 pair = boundary_value(float(x), cfg)
                 assert abs(pair.s_under.imag) < 1e-6, (gap, x, pair.s_under)
+
+    def test_non_real_gap_midpoint_raises(self, mp_config, monkeypatch):
+        calls = []
+
+        def non_real(x, cfg, settings=None):
+            calls.append(x)
+            return StieltjesPair(z=complex(x), s_under=complex(-1.0, GAP_IMAG_TOL), g_under=-1.0)
+
+        monkeypatch.setattr(support, "boundary_value", non_real)
+        with pytest.raises(NotInGapError):
+            find_gaps(mp_config)
+        # the gap (0, 0.25) is checked first, at its midpoint
+        assert calls == [0.125]
 
 
 class TestNearEdgeSolve:
