@@ -1,8 +1,8 @@
 """Paired end-to-end benchmark of a baseline checkout against this one.
 
 For every workload in BENCHMARK.json this runs ``e2ebench/run.py`` of both
-checkouts: ``--pairs`` untraced pairs (``--trace 0``), alternating which
-side runs first, then one traced run per side (``--trace 1``). It writes
+checkouts: PAIRS untraced pairs (``--trace 0``), alternating which side
+runs first, then one traced run per side (``--trace 1``). It writes
 one JSON file holding, per workload,
 
 - for each end-to-end metric: both sides' median, quartiles and per-run
@@ -15,7 +15,7 @@ one JSON file holding, per workload,
 Usage, from the root of this checkout, with the baseline checked out
 elsewhere (``git archive <commit> | tar -x -C <dir>``):
 
-    python3 benchmarks/bench_e2e.py --baseline <dir> --seed 777 --pairs 10 --out BENCH_<n>.json
+    python3 benchmarks/bench_e2e.py --baseline <dir> --seed 777 --out BENCH_<n>.json
 
 Each run lasts about ``run_seconds`` from BENCHMARK.json (55 s), so ten
 pairs on two workloads take about 45 minutes.
@@ -32,6 +32,9 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Alternating untraced pairs per workload: a claimed gain must win at least
+# nine of ten.
+PAIRS = 10
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -55,15 +58,15 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def bench_workload(baseline: str, workload: str, seed: int, seconds: float, pairs: int) -> dict:
+def bench_workload(baseline: str, workload: str, seed: int, seconds: float) -> dict:
     sides = {"baseline": baseline, "change": ROOT}
     runs = {"baseline": [], "change": []}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
         for side in order:
             result = run_once(sides[side], workload, seed, seconds, trace=0)
             runs[side].append(result)
-            print(f"bench_e2e: {workload} pair {i + 1}/{pairs} {side} done", file=sys.stderr)
+            print(f"bench_e2e: {workload} pair {i + 1}/{PAIRS} {side} done", file=sys.stderr)
 
     end_to_end = {}
     for name, entry in runs["change"][0]["metrics"].items():
@@ -74,7 +77,7 @@ def bench_workload(baseline: str, workload: str, seed: int, seconds: float, pair
             "baseline": summary(base),
             "change": summary(change),
             "change_wins": sum(c < b for b, c in zip(base, change)),
-            "pairs": pairs,
+            "pairs": PAIRS,
         }
 
     traced = {side: run_once(path, workload, seed, seconds, trace=1) for side, path in sides.items()}
@@ -99,11 +102,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True, help="root of the baseline checkout")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
@@ -113,7 +113,7 @@ def main(argv=None) -> int:
         f"--seconds {seconds} --trace <0|1>",
         "seed": args.seed,
         "seconds": seconds,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "host": {
             "cpus": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
         },
         "workloads": {
             w["name"]: bench_workload(
-                os.path.abspath(args.baseline), w["name"], args.seed, seconds, args.pairs
+                os.path.abspath(args.baseline), w["name"], args.seed, seconds
             )
             for w in bench["workloads"]
         },

@@ -5,10 +5,10 @@ scalar loops: models have one to a few atoms, and on 1-3 atoms the loop is
 3-5x faster per call than a numpy expression over the atom arrays (``phi``
 on 2 atoms: 2.6 us for the loop against 10.2 us for ``np.sum`` and 7.3 us
 for ``@``; see notes/decisions.md). The real-branch sweep follows the
-branch point to point, predicting each root from the last one and
-correcting it by Newton: ``find_gaps`` on atoms {(0,1,1/2), (8,1,1/2)} at
-y = 0.1 makes 11,334 ``phi`` calls for its 8,000 grid points, and on a
-signal-free model exactly one per point.
+branch point to point from both ends of the grid, predicting each root
+from the last one and correcting it by Newton: ``find_gaps`` on atoms
+{(0,1,1/2), (8,1,1/2)} at y = 0.1 makes 11,356 ``phi`` calls for its 8,000
+grid points, and on a signal-free model exactly one per point.
 
 Kernels call each other through this module's globals (``phi`` inside
 ``solve_s``, ``branch`` inside ``sweep``, ...), never through local aliases.
@@ -22,6 +22,8 @@ Status codes returned by kernels:
   3  no real root on the branch: Newton left its pole-free interval or
      stalled (a fold), or the sweep declined a root far from its prediction
   4  derivative singular (implicit-differentiation denominator vanished)
+  5  a real root found by a cold start between two folds of the branch;
+     it may lie on another branch and is not checked here (``sweep`` only)
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ NO_CONVERGE = 1
 POLE = 2
 NO_BRACKET = 3
 SINGULAR = 4
+COLD = 5
 
 # Magnitudes below this count as a pole.
 POLE_EPS = 1e-14
@@ -307,16 +310,86 @@ def branch(g, u, t, w, y, s_center):
     return s, x, dx_dg, s_prime, OK
 
 
+def _walk(order, gs, u, t, w, y, s_arr, x_arr, d_arr, status, den, cold):
+    """Walk the grid indices in ``order`` (one sign), following one root.
+
+    Each point is predicted from the last accepted one,
+    s_prev + s'(g_prev)*(g - g_prev). A root farther from the prediction
+    than FAR_FACTOR times the predicted step lies on another branch and is
+    declined (status NO_BRACKET, like a fold in solve_s). The first point
+    starts from the pin s = g.
+
+    Anchored walk (``cold`` false): Newton starts from the prediction, and
+    the walk stops after the first point that fails. Cold walk: Newton
+    starts from the pin at every point, so a decline marks a jump to
+    another root, and the walk goes on past failures, starting a new
+    segment at the next point; accepted points are marked COLD.
+
+    Fills the output arrays in place; returns the number of points walked.
+    """
+    n = u.shape[0]
+    follow = False
+    g_prev = 0.0
+    s_prev = 0.0
+    ds_prev = 0.0
+    step = 0.0
+    walked = 0
+    for i in order:
+        g = gs[i]
+        if follow:
+            step = ds_prev * (g - g_prev)
+            pred = s_prev + step
+        else:
+            pred = g
+        s, x, dx_dg, ds_dg, st = branch(g, u, t, w, y, g if cold else pred)
+        if (
+            follow
+            and st == OK
+            and abs(s - pred) > FAR_FACTOR * abs(step) + DECLINE_SLACK * (1.0 + abs(s))
+        ):
+            st = NO_BRACKET
+        follow = st == OK
+        if follow and cold:
+            st = COLD
+        s_arr[i] = s
+        x_arr[i] = x
+        d_arr[i] = dx_dg
+        status[i] = st
+        for k in range(n):
+            if follow:
+                den[i, k] = 1.0 + u[k] * g + t[k] * s
+            else:
+                den[i, k] = np.nan
+        walked += 1
+        if not follow and not cold:
+            return walked
+        g_prev = g
+        s_prev = s
+        ds_prev = ds_dg
+    return walked
+
+
 def sweep(gs, u, t, w, y):
     """Real-branch evaluation over a parameter grid, following the branch.
 
-    Walks the points of each sign outward from g = 0 (in order of |g|).
-    Each point is predicted from the last accepted one on the same side,
-    s_prev + s'(g_prev)*(g - g_prev), and corrected by ``branch`` from that
-    prediction. A root farther from the prediction than FAR_FACTOR times
-    the predicted step lies on another branch and is declined (status
-    NO_BRACKET, like a fold in solve_s). The first point of a side, and the
-    point after a failed or declined one, start cold from the pin s = g.
+    The points of each sign are covered by three walks (``_walk``). Two are
+    anchored at an end of the sign's grid where the pin s = g reaches the
+    branch, follow it and stop at its first fold:
+
+    - outward from the point nearest g = 0, where the branch is s = g;
+    - inward from the point farthest from 0. At s = g there every
+      denominator 1 + u*g + t*s has the sign of g, so on the pin's
+      pole-free interval phi(g, .) is concave (g < 0) or convex (g > 0),
+      and Newton from the pin moves monotonically to the root nearest it.
+      On g < 0 that root carries the lowest gap, x -> 0+.
+
+    The points between the two folds, which neither reached, are walked
+    cold: each is solved from the pin, and consecutive roots that agree
+    with the prediction form a segment. Interior gaps whose branch is cut
+    off from both ends lie there. A root found there may lie on another
+    branch, so it is marked COLD, not OK, and ``find_gaps`` checks such
+    runs against the boundary pair before it uses them. Every point is
+    solved once.
 
     Returns (s, x, dx_dg, status, den) arrays; den[i, k] is atom k's
     denominator 1 + u*g + t*s at grid point i (NaN where the point failed).
@@ -328,38 +401,12 @@ def sweep(gs, u, t, w, y):
     d_arr = np.empty(m)
     status = np.empty(m, np.int64)
     den = np.empty((m, n))
-    follow = False
-    g_prev = 0.0
-    s_prev = 0.0
-    ds_prev = 0.0
-    step = 0.0
     g_list = gs.tolist()
-    for i in np.argsort(np.abs(gs), kind="stable").tolist():
-        g = g_list[i]
-        if follow and g * g_prev > 0.0:
-            step = ds_prev * (g - g_prev)
-            pred = s_prev + step
-        else:
-            follow = False
-            pred = g
-        s, x, dx_dg, ds_dg, st = branch(g, u, t, w, y, pred)
-        if (
-            follow
-            and st == OK
-            and abs(s - pred) > FAR_FACTOR * abs(step) + DECLINE_SLACK * (1.0 + abs(s))
-        ):
-            st = NO_BRACKET
-        s_arr[i] = s
-        x_arr[i] = x
-        d_arr[i] = dx_dg
-        status[i] = st
-        for k in range(n):
-            if st == OK:
-                den[i, k] = 1.0 + u[k] * g + t[k] * s
-            else:
-                den[i, k] = np.nan
-        follow = st == OK
-        g_prev = g
-        s_prev = s
-        ds_prev = ds_dg
+    order = np.argsort(np.abs(gs), kind="stable").tolist()
+    out = (g_list, u, t, w, y, s_arr, x_arr, d_arr, status, den)
+    for side in ([i for i in order if g_list[i] < 0.0], [i for i in order if g_list[i] > 0.0]):
+        k = _walk(side, *out, False)
+        rest = side[k:]
+        j = _walk(rest[::-1], *out, False)
+        _walk(rest[: len(rest) - j], *out, True)
     return s_arr, x_arr, d_arr, status, den

@@ -6,14 +6,21 @@ dx/dg > 0 lie in the complement of the support; stationary points of x are
 support edges. Gaps are found by sweeping g, grouping dx/dg > 0 runs with
 a consistent atom-denominator sign pattern, and refining run boundaries.
 
-The sweep (``_kernels.sweep``) follows the branch outward from g -> 0,
-where s = g: each grid point is predicted from the last one by the tangent
-s'(g) and corrected by Newton, and a root that lands far from the
-prediction lies on another branch and is declined. Run boundaries are
+The sweep (``_kernels.sweep``) follows the branch from both ends of each
+side's grid: outward from g -> 0, where s = g, and inward from the far end,
+where Newton from s = g reaches the branch monotonically. Each grid point
+is predicted from the last one by the tangent s'(g) and corrected by
+Newton, and a root far from the prediction lies on another branch and is
+declined. Points between the folds where both walks stop are solved cold
+from s = g and marked COLD; a run of them counts as a gap only when the
+boundary pair at its middle point equals its (s, g). Run boundaries are
 refined by Brent on dx/dg, each evaluation seeded on the chord of the
 sweep's s across the bracketing cell, so the refinement stays on the same
 branch. Each reported gap is then checked once against ``boundary_value``
-at its midpoint; a pair that is not real there raises NotInGapError.
+at its midpoint; a pair that is not real there raises NotInGapError. That
+check catches only a reported gap whose midpoint lies in the support: it
+cannot see a wrong edge of a gap whose midpoint is right, nor a gap that
+was not reported.
 """
 
 from __future__ import annotations
@@ -45,6 +52,9 @@ ROOT_RESIDUAL_TOL = 1e-12
 GAP_IMAG_TOL = 1e-6
 # Unbounded gaps (a, inf) are sampled on (a, a + UNBOUNDED_SPAN).
 UNBOUNDED_SPAN = 10.0
+# A sweep point lies on the branch when the boundary pair at its x matches
+# its (s, g) to this relative tolerance.
+BRANCH_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -112,8 +122,8 @@ def solve_s_given_g(g: float, cfg: ModelConfig) -> float:
     solve from that pin, inside its pole-free interval; it raises
     BracketError when Newton leaves the interval or stalls (past a fold of
     the branch), or when |phi| at the root exceeds ROOT_RESIDUAL_TOL.
-    ``find_gaps`` instead follows the branch from g -> 0, which a cold
-    solve far from the pin does not guarantee.
+    ``find_gaps`` instead follows the branch from both ends of its grid,
+    which a cold solve far from the pin does not guarantee.
     """
     if g == 0.0:
         raise ValueError("the real branch is parametrized by g != 0")
@@ -189,6 +199,20 @@ def _refine_stationary(cell, u, t, w, y):
     return g_star, float(_seeded_branch(g_star, cell, u, t, w, y)[0])
 
 
+def _on_branch(g, s, x, cfg: ModelConfig) -> bool:
+    """Whether the sweep point (g, s) at x is the boundary pair there.
+
+    A run of COLD points follows one real root from a cold start; it lies
+    on the branch, and so is a gap, exactly when one of its points does.
+    """
+    pair = boundary_value(float(x), cfg)
+    return (
+        abs(pair.s_under.imag) < GAP_IMAG_TOL
+        and abs(pair.g_under - g) <= BRANCH_MATCH_TOL * (1.0 + abs(g))
+        and abs(pair.s_under - s) <= BRANCH_MATCH_TOL * (1.0 + abs(s))
+    )
+
+
 def _check_gap(gap: SpectralGap, cfg: ModelConfig) -> None:
     """Raise NotInGapError unless the boundary pair is real mid-gap."""
     x = gap.a + 0.5 * UNBOUNDED_SPAN if gap.unbounded else 0.5 * (gap.a + gap.b)
@@ -212,9 +236,14 @@ def find_gaps(
     maximal runs where dx/dg > 0 with a per-atom constant denominator
     sign, refines finite run boundaries to stationary points of x, clamps
     the gap reached as g -> -inf to a = 0 (y < 1), and maps the run ending
-    at g -> 0- to the unbounded gap (sup of support, +inf). Raises
-    NotInGapError when the boundary pair at a reported gap's midpoint (at
-    a + UNBOUNDED_SPAN/2 for the unbounded gap) has |Im s| >= GAP_IMAG_TOL.
+    at g -> 0- to the unbounded gap (sup of support, +inf). A run of COLD
+    sweep points (between two folds, reached by a cold start) is kept only
+    when the boundary pair at its middle point matches its (s, g) within
+    BRANCH_MATCH_TOL. Raises NotInGapError when the boundary pair at a
+    reported gap's midpoint (at a + UNBOUNDED_SPAN/2 for the unbounded gap)
+    has |Im s| >= GAP_IMAG_TOL. That last check only catches a gap whose
+    midpoint lies in the support; it does not catch a wrong edge of a gap
+    whose midpoint is right, or a gap that was not reported.
     """
     if n_grid < 100:
         raise ValueError(f"n_grid must be >= 100, got {n_grid}")
@@ -227,7 +256,8 @@ def find_gaps(
     for sign, bound in ((-1.0, abs(g_lo)), (1.0, abs(g_hi))):
         gs = _log_grid(DEFAULT_G_INNER, bound, n_grid, sign)
         s_arr, x_arr, dx_arr, status, den = K.sweep(gs, u, t, w, y)
-        good = ((status == K.OK) & (dx_arr > 0.0)).tolist()
+        reached = ((status == K.OK) | (status == K.COLD)).tolist()
+        good = [r and d > 0.0 for r, d in zip(reached, dx_arr.tolist())]
         # same_signs[i]: points i and i + 1 share every atom's denominator sign
         same_signs = np.all(np.sign(den[1:]) == np.sign(den[:-1]), axis=1).tolist()
 
@@ -245,12 +275,15 @@ def find_gaps(
         for i0, i1 in runs:
             if i1 - i0 < 1:
                 continue
+            mid = (i0 + i1) // 2
+            if status[i0] == K.COLD and not _on_branch(gs[mid], s_arr[mid], x_arr[mid], cfg):
+                continue
             at_lower_boundary = i0 == 0
             at_upper_boundary = i1 == len(gs) - 1
 
             if at_lower_boundary:
                 g_a, a = gs[i0], x_arr[i0]
-            elif status[i0 - 1] == K.OK and dx_arr[i0 - 1] <= 0.0 and same_signs[i0 - 1]:
+            elif reached[i0 - 1] and dx_arr[i0 - 1] <= 0.0 and same_signs[i0 - 1]:
                 cell = (gs[i0], s_arr[i0], gs[i0 - 1], s_arr[i0 - 1])
                 g_a, a = _refine_stationary(cell, u, t, w, y)
             else:
@@ -258,7 +291,7 @@ def find_gaps(
 
             if at_upper_boundary:
                 g_b, b = gs[i1], x_arr[i1]
-            elif status[i1 + 1] == K.OK and dx_arr[i1 + 1] <= 0.0 and same_signs[i1]:
+            elif reached[i1 + 1] and dx_arr[i1 + 1] <= 0.0 and same_signs[i1]:
                 cell = (gs[i1], s_arr[i1], gs[i1 + 1], s_arr[i1 + 1])
                 g_b, b = _refine_stationary(cell, u, t, w, y)
             else:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from specsep import _kernels as K
-from specsep import find_gaps, x_of_g
+from specsep import JointSpectrum, ModelConfig, boundary_value, find_gaps, x_of_g
 from specsep.spectrum import spectrum_arrays
 from specsep.support import DEFAULT_G_BOUND, DEFAULT_G_INNER, DEFAULT_N_GRID
 
@@ -11,7 +11,7 @@ from oracles import two_atom_s_of_g
 
 
 def test_status_codes_are_distinct():
-    assert len({K.OK, K.NO_CONVERGE, K.POLE, K.NO_BRACKET, K.SINGULAR}) == 5
+    assert len({K.OK, K.NO_CONVERGE, K.POLE, K.NO_BRACKET, K.SINGULAR, K.COLD}) == 6
 
 
 def _count_calls(monkeypatch, names):
@@ -90,3 +90,59 @@ def test_signal_free_sweep_costs_one_phi_call_per_point(mp_config, monkeypatch):
     assert calls == {"phi": len(gs), "branch": len(gs)}
     assert np.all(status == K.OK)
     np.testing.assert_array_equal(s, gs)
+
+
+def _is_boundary_pair(g, s, x, cfg):
+    pair = boundary_value(float(x), cfg)
+    return (
+        abs(pair.s_under.imag) < 1e-6
+        and abs(pair.g_under - g) < 1e-6 * (1.0 + abs(g))
+        and abs(pair.s_under - s) < 1e-6 * (1.0 + abs(s))
+    )
+
+
+def test_sweep_anchors_both_ends_and_marks_points_between_folds_cold(monkeypatch):
+    # past the fold at g ~ -0.172 Newton converges to roots of other
+    # branches; walking on from them used to follow a root with s -> +inf
+    # out to g = -1e4 and lose the lowest gap
+    cfg = ModelConfig(
+        JointSpectrum.from_atoms([(8.045, 0.927, 0.5), (3.166, 1.6, 0.5)]), 0.7686733024976289
+    )
+    u, t, w = spectrum_arrays(cfg.spectrum)
+    gs = _grid(-1.0)
+    returned = {}
+    real = K.branch
+
+    def recording(g, *args):
+        result = real(g, *args)
+        returned[g] = result[4]
+        return result
+
+    monkeypatch.setattr(K, "branch", recording)
+    s, x, d, status, _den = K.sweep(gs, u, t, w, cfg.y)
+    assert len(returned) == len(gs)  # every point solved once
+
+    # a root Newton reached far from its prediction is declined
+    declined = [
+        g for g, st in zip(gs.tolist(), status.tolist())
+        if st == K.NO_BRACKET and returned[g] == K.OK
+    ]
+    assert declined
+
+    # the anchored walks hold both ends; the far end is the lowest gap
+    assert status[0] == K.OK and status[-1] == K.OK
+    assert 0.0 < s[0] / gs[0] < 1.0 and 0.0 < x[0] < 1e-3
+    ok = np.flatnonzero(status == K.OK)
+    cold = np.flatnonzero(status == K.COLD)
+    assert cold.size and ok[ok < cold.min()].size and ok[ok > cold.max()].size
+    assert not np.any((status[cold.min() : cold.max()] == K.OK))
+
+    # anchored points with dx/dg > 0 are the boundary pair at their x; the
+    # cold ones on this model lie on other branches
+    ok_gap = ok[(d[ok] > 0.0) & (x[ok] < 1e3)]
+    for i in ok_gap[:: len(ok_gap) // 20]:
+        assert _is_boundary_pair(gs[i], s[i], x[i], cfg), gs[i]
+    cold_gap = cold[(d[cold] > 0.0) & (x[cold] > 0.0)]
+    assert cold_gap.size
+    for i in cold_gap[:: max(1, len(cold_gap) // 20)]:
+        assert not _is_boundary_pair(gs[i], s[i], x[i], cfg), gs[i]

@@ -21,7 +21,7 @@ from specsep import (
 )
 from specsep import _kernels as K
 from specsep import support
-from specsep.support import GAP_IMAG_TOL, UNBOUNDED_SPAN
+from specsep.support import DEFAULT_N_GRID, GAP_IMAG_TOL, UNBOUNDED_SPAN
 
 from oracles import (
     TWO_ATOM_GAPS_Y001,
@@ -33,6 +33,15 @@ from oracles import (
     two_atom_gap_sweep,
     two_atom_s_of_g,
 )
+
+# (atoms, y, number of gaps); the gap counts agree with a scan of
+# boundary_value on 3,000 points of (0, 20)
+DECLINE_MODELS = [
+    ([(2.61, 1.545, 1 / 3), (2.489, 2.859, 1 / 3), (0.71, 1.667, 1 / 3)], 0.16354980189295273, 2),
+    ([(8.045, 0.927, 0.5), (3.166, 1.6, 0.5)], 0.7686733024976289, 2),
+    ([(0.458, 1.041, 1 / 3), (1.319, 1.082, 1 / 3), (5.663, 0.812, 1 / 3)], 0.3313811393469143, 3),
+    ([(7.532, 2.52, 1 / 3), (0.0, 1.232, 1 / 3), (4.452, 1.38, 1 / 3)], 0.6086039933906717, 3),
+]
 
 
 class TestSolveSGivenG:
@@ -213,29 +222,61 @@ class TestFindGaps:
             assert pair.g_under.real == pytest.approx(br.g, abs=1e-6)
 
     @pytest.mark.parametrize(
-        "atoms, y, n_gaps",
+        "atoms, y, n_gaps, n_grid",
         [
             # the sweep used to accept a root off the branch for g in about
             # (-0.368, -0.311) and report the spurious gap (0.565, 0.871)
             pytest.param(
-                [(0.0, 1.0, 0.3), (2.0, 0.7, 0.3), (8.0, 1.3, 0.4)], 0.2, 4, id="defect-A"
+                [(0.0, 1.0, 0.3), (2.0, 0.7, 0.3), (8.0, 1.3, 0.4)], 0.2, 4, DEFAULT_N_GRID,
+                id="defect-A",
             ),
             # an off-branch root near g = -0.26 stretched the lowest gap to
             # (0, 0.82494); the support starts at 0.76553
             pytest.param(
-                [(0.0, 1.0, 0.2), (3.0, 0.5, 0.5), (9.0, 2.0, 0.3)], 0.05, 4, id="defect-B"
+                [(0.0, 1.0, 0.2), (3.0, 0.5, 0.5), (9.0, 2.0, 0.3)], 0.05, 4, DEFAULT_N_GRID,
+                id="defect-B",
             ),
             # an off-branch root merged the gaps (4.72561, 6.52308) and
             # (14.98462, inf) into (4.72561, inf), dropping a support piece
             # that holds half the eigenvalues
-            pytest.param([(1.0, 2.0, 0.5), (8.0, 2.0, 0.5)], 0.25, 3, id="defect-C"),
+            pytest.param(
+                [(1.0, 2.0, 0.5), (8.0, 2.0, 0.5)], 0.25, 3, DEFAULT_N_GRID, id="defect-C"
+            ),
+            # random models on which the sweep declines a root far from its
+            # prediction, each on the default grid and on a coarse one. Before
+            # the walk inward from g = -1e4, the cold restarts after the fold
+            # followed another root out to g = -1e4 (s -> +inf), and
+            # find_gaps reported (0, inf) or (0, b) with b in the support.
+            # between the folds the cold walk used to follow one root from a
+            # cold start across the whole stretch, past the interior gaps
+            # (0.8973, 1.2457) and (4.3646, 4.6744) respectively; solving each
+            # point from s = g finds their branch
+            pytest.param(
+                [(0.292, 0.326, 1 / 3), (4.52, 2.762, 1 / 3), (3.651, 2.685, 1 / 3)],
+                0.7447169605244107, 3, DEFAULT_N_GRID, id="cold-walk-1",
+            ),
+            pytest.param(
+                [(5.78, 1.277, 1 / 3), (0.0, 1.285, 1 / 3), (0.508, 1.948, 1 / 3)],
+                0.6045830648981424, 3, DEFAULT_N_GRID, id="cold-walk-2",
+            ),
+            # reported as the single gap (0, inf), which the midpoint check
+            # refused; the gaps are (0, 2.2808), (3.9642, 4.4645), (10.954, inf)
+            pytest.param(
+                [(3.0, 0.33, 0.41), (5.0, 2.35, 0.333), (6.0, 0.49, 0.257)], 0.212, 3,
+                DEFAULT_N_GRID, id="single-gap",
+            ),
+            *(
+                pytest.param(atoms, y, n_gaps, n_grid, id=f"decline-{k}-{n_grid}")
+                for k, (atoms, y, n_gaps) in enumerate(DECLINE_MODELS, 1)
+                for n_grid in (400, DEFAULT_N_GRID)
+            ),
         ],
     )
-    def test_three_atom_gaps_hold_real_boundary_values(self, atoms, y, n_gaps):
+    def test_three_atom_gaps_hold_real_boundary_values(self, atoms, y, n_gaps, n_grid):
         # the same 9 inset points as test_pairs_inside_gaps_are_exactly_real:
         # defect B's gap midpoint, 0.41, lies in the true gap
         cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
-        gaps = find_gaps(cfg)
+        gaps = find_gaps(cfg, n_grid=n_grid)
         assert len(gaps) == n_gaps
         for gap in gaps:
             b = gap.a + UNBOUNDED_SPAN if gap.unbounded else gap.b
