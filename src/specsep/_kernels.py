@@ -314,18 +314,13 @@ def _walk(order, gs, u, t, w, y, s_arr, x_arr, d_arr, status, den, cold):
     """Walk the grid indices in ``order`` (one sign), following one root.
 
     Each point is predicted from the last accepted one,
-    s_prev + s'(g_prev)*(g - g_prev). A root farther from the prediction
-    than FAR_FACTOR times the predicted step lies on another branch and is
-    declined (status NO_BRACKET, like a fold in solve_s). The first point
-    starts from the pin s = g.
-
-    Anchored walk (``cold`` false): Newton starts from the prediction, and
-    the walk stops after the first point that fails. Cold walk: Newton
-    starts from the pin at every point, so a decline marks a jump to
-    another root, and the walk goes on past failures, starting a new
-    segment at the next point; accepted points are marked COLD.
-
-    Fills the output arrays in place; returns the number of points walked.
+    s_prev + s'(g_prev)*(g - g_prev); a root farther from the prediction
+    than FAR_FACTOR predicted steps lies on another branch and is declined
+    (NO_BRACKET). An anchored walk (``cold`` false) starts Newton from the
+    prediction, the first point from the pin s = g, and stops after its
+    first failure. A cold walk starts every point from the pin, goes on
+    past failures and marks accepted points COLD. Fills the output arrays
+    in place and returns the number of points walked.
     """
     n = u.shape[0]
     follow = False
@@ -372,24 +367,17 @@ def _walk(order, gs, u, t, w, y, s_arr, x_arr, d_arr, status, den, cold):
 def sweep(gs, u, t, w, y):
     """Real-branch evaluation over a parameter grid, following the branch.
 
-    The points of each sign are covered by three walks (``_walk``). Two are
-    anchored at an end of the sign's grid where the pin s = g reaches the
-    branch, follow it and stop at its first fold:
-
-    - outward from the point nearest g = 0, where the branch is s = g;
-    - inward from the point farthest from 0. At s = g there every
-      denominator 1 + u*g + t*s has the sign of g, so on the pin's
-      pole-free interval phi(g, .) is concave (g < 0) or convex (g > 0),
-      and Newton from the pin moves monotonically to the root nearest it.
-      On g < 0 that root carries the lowest gap, x -> 0+.
-
-    The points between the two folds, which neither reached, are walked
-    cold: each is solved from the pin, and consecutive roots that agree
-    with the prediction form a segment. Interior gaps whose branch is cut
-    off from both ends lie there. A root found there may lie on another
-    branch, so it is marked COLD, not OK, and ``find_gaps`` checks such
-    runs against the boundary pair before it uses them. Every point is
-    solved once.
+    Each sign's points are covered by three walks (``_walk``), and every
+    point is solved once. Two walks are anchored where the pin s = g
+    reaches the branch and stop at their first fold: outward from the point
+    nearest g = 0, where the branch is s = g, and inward from the point
+    farthest from 0. There every denominator 1 + u*g + t*s has the sign of
+    g at s = g, so phi(g, .) is concave (g < 0) or convex (g > 0) on the
+    pin's pole-free interval, and Newton from the pin moves monotonically
+    to the nearest root; on g < 0 that root carries the lowest gap. The
+    points between the two folds are walked cold. A root found there may
+    lie on another branch, so it is marked COLD, and ``find_gaps`` checks
+    such runs against the boundary pair before it uses them.
 
     Returns (s, x, dx_dg, status, den) arrays; den[i, k] is atom k's
     denominator 1 + u*g + t*s at grid point i (NaN where the point failed).
