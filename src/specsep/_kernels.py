@@ -40,7 +40,7 @@ COLD = 5
 # Magnitudes below this count as a pole.
 POLE_EPS = 1e-14
 # Double precision cannot push |z - RHS| below about this times |z|, so the
-# solvers' residual target is max(tol, RESIDUAL_FLOOR * |z|).
+# solvers' residual target is effective_tol(tol, z).
 RESIDUAL_FLOOR = 1e-14
 # solve_s stops once a Newton step is below STEP_TOL*(1+|s|): Newton
 # converges quadratically there, so the stepped point is at rounding level.
@@ -51,6 +51,11 @@ SOLVE_MAX_ITER = 50
 # the predicted step (plus DECLINE_SLACK*(1+|s|)): it lies on another branch.
 FAR_FACTOR = 2.0
 DECLINE_SLACK = 1e-9
+
+
+def effective_tol(tol, z):
+    """Residual target at z: tol, or the rounding floor RESIDUAL_FLOOR*|z|."""
+    return max(tol, abs(z) * RESIDUAL_FLOOR)
 
 
 def atom_sums(s, g, u, t, w):
@@ -102,7 +107,7 @@ def fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
     r2 = np.inf
     if abs(z) < POLE_EPS:
         return s, g, r1, r2, 0, POLE
-    tol_eff = max(tol, abs(z) * RESIDUAL_FLOOR)
+    tol_eff = effective_tol(tol, z)
     for it in range(max_iter):
         sum0, sumt, min_ad = atom_sums(s, g, u, t, w)
         if min_ad < POLE_EPS:
@@ -136,7 +141,7 @@ def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
     g = g0
     if abs(z) < POLE_EPS:
         return s, g, np.inf, np.inf, 0, POLE
-    tol_eff = max(tol, abs(z) * RESIDUAL_FLOOR)
+    tol_eff = effective_tol(tol, z)
     n = u.shape[0]
     r1, r2, status = residual_pair(z, s, g, u, t, w, y)
     if status != OK:

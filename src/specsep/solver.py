@@ -146,9 +146,10 @@ def _newton(z, cfg, settings, s0, g0):
     """Newton from (s0, g0) toward the polish target.
 
     Returns (pair, holds, polished): the pair Newton ended at; whether it
-    holds, that is both residuals are below settings.tol and both imaginary
-    parts are non-negative; and whether Newton reached settings.tol *
-    POLISH_FACTOR or the kernel's floor RESIDUAL_FLOOR * |z|. Newton only
+    holds, that is both residuals are below K.effective_tol(settings.tol, z)
+    and both imaginary parts are non-negative; and whether Newton reached
+    K.effective_tol(settings.tol * POLISH_FACTOR, z). Both targets rise to
+    the rounding floor RESIDUAL_FLOOR * |z| for large |z|. Newton only
     accepts steps that lower the residual, so it never ends worse than its
     start. s0 and g0 reach the kernel unconverted: the ladder passes Python
     complex scalars and the polish the fixed point's numpy ones, which round
@@ -159,7 +160,11 @@ def _newton(z, cfg, settings, s0, g0):
         complex(z), u, t, w, cfg.y, s0, g0,
         settings.tol * POLISH_FACTOR, NEWTON_MAX_ITER,
     )
-    holds = max(r1, r2) < settings.tol and s.imag >= 0.0 and g.imag >= 0.0
+    holds = (
+        max(r1, r2) < K.effective_tol(settings.tol, z)
+        and s.imag >= 0.0
+        and g.imag >= 0.0
+    )
     return StieltjesPair(z=complex(z), s_under=s, g_under=g), holds, status == K.OK
 
 

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _kernels as K
 from .exceptions import (
@@ -179,23 +178,86 @@ def _seeded_branch(g, cell, u, t, w, y):
     return x, dx_dg
 
 
+def _brent(f, a, b, xtol, rtol, maxiter):
+    """Root of f on [a, b] by Brent's method.
+
+    A line-for-line translation of scipy's brentq
+    (scipy/optimize/Zeros/brentq.c, BSD-3; Brent 1973, ch. 4): the same sign
+    test on the sign bits of f(a) and f(b), the same sequence of f calls and
+    the same root. An exact zero at an end is returned at once. Raises
+    CoarseGridError when f(a) and f(b) share a sign bit, when f returns NaN
+    and when maxiter iterations do not converge.
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise CoarseGridError(f"f is NaN at {x} while refining; raise n_grid")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise CoarseGridError(f"no sign change inside [{a}, {b}]; raise n_grid")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise CoarseGridError(
+        f"no convergence within {maxiter} iterations inside [{a}, {b}]; raise n_grid"
+    )
+
+
 def _refine_stationary(cell, u, t, w, y):
     """Root g* of dx/dg on a bracketing cell, via Brent on the branch kernel.
 
     Returns (g*, x(g*)), both from branch evaluations seeded on the cell.
+    Raises CoarseGridError when dx/dg does not change sign on the cell.
     """
     g_left, g_right = sorted((cell[0], cell[2]))
 
     def dxdg(g):
         return _seeded_branch(g, cell, u, t, w, y)[1]
 
-    try:
-        g_star = brentq(dxdg, g_left, g_right, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    except ValueError as exc:
-        raise CoarseGridError(
-            f"no derivative sign change inside [{g_left}, {g_right}]; raise n_grid"
-        ) from exc
-    g_star = float(g_star)
+    g_star = _brent(dxdg, g_left, g_right, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     return g_star, float(_seeded_branch(g_star, cell, u, t, w, y)[0])
 
 

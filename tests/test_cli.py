@@ -3,6 +3,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -231,3 +234,18 @@ class TestConfigHandling:
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["p"] == 30
         assert abs(report["p"] / report["n"] - 0.25) <= 1.0 / report["n"]
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves only as a test oracle
+    src = os.path.dirname(os.path.dirname(os.path.abspath(support.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, specsep, specsep.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -158,6 +158,16 @@ class TestBoundaryValue:
         pair = boundary_value(3.0, mp_config)
         assert abs(pair.s_under - pair.g_under) < 1e-9
 
+    @pytest.mark.parametrize("x", [1e5, 1e6])
+    def test_real_far_outside_support(self, mp_config, x):
+        # the residual floor 1e-14*|x| exceeds tol = 1e-10 here; the ladder
+        # used to reject Newton's pair at v = 1e-3 (x = 1e5) or 0.1 (x = 1e6)
+        pair = boundary_value(x, mp_config)
+        assert pair.z == complex(x, 0.0)
+        assert pair.s_under.imag == 0.0
+        assert pair.s_under.real == pytest.approx(mp_boundary_companion(x, 0.25).real, rel=1e-9)
+        assert pair.s_under.real == pytest.approx(-1.0 / x, rel=1e-5)
+
     def test_rejects_zero(self, mp_config):
         with pytest.raises(ValueError):
             boundary_value(0.0, mp_config)

@@ -7,6 +7,7 @@ import pytest
 
 from specsep import (
     BracketError,
+    CoarseGridError,
     GapTrackingError,
     JointSpectrum,
     ModelConfig,
@@ -21,6 +22,7 @@ from specsep import (
 )
 from specsep import _kernels as K
 from specsep import support
+from specsep.spectrum import spectrum_arrays
 from specsep.support import DEFAULT_N_GRID, GAP_IMAG_TOL, UNBOUNDED_SPAN
 
 from oracles import (
@@ -297,6 +299,74 @@ class TestFindGaps:
             find_gaps(mp_config)
         # the gap (0, 0.25) is checked first, at its midpoint
         assert calls == [0.125]
+
+
+# _refine_stationary's Brent settings
+BRENT_XTOL, BRENT_RTOL, BRENT_MAXITER = 1e-13, 8.9e-16, 200
+
+
+def _bracketed_function(kind, r, c):
+    """A function with its one root at r and a sign change there."""
+    if kind == 0:
+        return lambda x: c * (x - r)
+    if kind == 1:
+        return lambda x: math.exp(c * (x - r)) - 1.0
+    if kind == 2:
+        return lambda x: (x - r) ** 3 + 1e-6 * c * (x - r)
+    if kind == 3:
+        return lambda x: math.atan(1e4 * c * (x - r))
+    return lambda x: math.copysign(math.sqrt(abs(x - r)), x - r)
+
+
+class TestBrent:
+    """support._brent against scipy.optimize.brentq, a test-only oracle."""
+
+    def test_matches_scipy_brentq_bitwise(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(8)
+        for i in range(200):
+            r, c = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
+            fn = _bracketed_function(i % 5, r, c)
+            # case 0 has an exact zero at its left end
+            a = r if i == 0 else r - rng.uniform(1e-3, 4.0)
+            b = r + rng.uniform(1e-3, 4.0)
+            if i % 2:
+                a, b = b, a
+            ref_calls, calls = [], []
+            ref = brentq(
+                lambda x: ref_calls.append(x) or fn(x), a, b,
+                xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=BRENT_MAXITER,
+            )
+            got = support._brent(
+                lambda x: calls.append(x) or fn(x), a, b,
+                BRENT_XTOL, BRENT_RTOL, BRENT_MAXITER,
+            )
+            assert got == ref, (i, got, ref)
+            assert calls == ref_calls, i
+        assert support._brent(lambda x: x - 1.0, 1.0, 2.0, 1e-13, 8.9e-16, 200) == 1.0
+
+    def test_no_sign_change_raises_coarse_grid_error(self, mp_config):
+        # on MP the branch is s = g, and dx/dg > 0 across g in [-5, -4]
+        u, t, w = spectrum_arrays(mp_config.spectrum)
+        with pytest.raises(CoarseGridError, match="no sign change"):
+            support._refine_stationary((-5.0, -5.0, -4.0, -4.0), u, t, w, mp_config.y)
+
+    def test_nan_raises_coarse_grid_error(self, mp_config, monkeypatch):
+        u, t, w = spectrum_arrays(mp_config.spectrum)
+        real = K.branch
+
+        def nan_slope(*args):
+            s, x, _dx, ds, status = real(*args)
+            return s, x, math.nan, ds, status
+
+        monkeypatch.setattr(K, "branch", nan_slope)
+        with pytest.raises(CoarseGridError, match="NaN"):
+            support._refine_stationary((-5.0, -5.0, -4.0, -4.0), u, t, w, mp_config.y)
+
+    def test_running_out_of_iterations_raises_coarse_grid_error(self):
+        with pytest.raises(CoarseGridError, match="within 3 iterations"):
+            support._brent(lambda x: x**3 - 0.2, -1.0, 2.0, 1e-13, 8.9e-16, 3)
 
 
 class TestNearEdgeSolve:
