@@ -14,9 +14,10 @@ Newton, and a root far from the prediction lies on another branch and is
 declined. Points between the folds where both walks stop are solved cold
 from s = g and marked COLD; a run of them counts as a gap only when the
 boundary pair at its middle point equals its (s, g). Run boundaries are
-refined by Brent on dx/dg, each evaluation seeded on the chord of the
-sweep's s across the bracketing cell, so the refinement stays on the same
-branch. Each reported gap is then checked once against ``boundary_value``
+refined by Brent's method on dx/dg (``_brent``, a port of scipy's brentq,
+so the package needs numpy alone), each evaluation seeded on the chord of
+the sweep's s across the bracketing cell, so the refinement stays on the
+same branch. Each reported gap is then checked once against ``boundary_value``
 at its midpoint; a pair that is not real there raises NotInGapError. That
 check catches only a reported gap whose midpoint lies in the support: it
 cannot see a wrong edge of a gap whose midpoint is right, nor a gap that
