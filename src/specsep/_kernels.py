@@ -5,10 +5,13 @@ scalar loops: models have one to a few atoms, and on 1-3 atoms the loop is
 3-5x faster per call than a numpy expression over the atom arrays (``phi``
 on 2 atoms: 2.6 us for the loop against 10.2 us for ``np.sum`` and 7.3 us
 for ``@``; see notes/decisions.md). The real-branch sweep follows the
-branch point to point from both ends of the grid, predicting each root
-from the last one and correcting it by Newton: ``find_gaps`` on atoms
-{(0,1,1/2), (8,1,1/2)} at y = 0.1 makes 11,356 ``phi`` calls for its 8,000
-grid points, and on a signal-free model exactly one per point.
+branch from both ends of the grid, predicting each root from the last one
+and correcting it by Newton. On smooth stretches it jumps STRIDE grid
+points at a time, and it walks every fold, decline and sign change point
+by point: ``find_gaps`` on atoms {(0,1,1/2), (8,1,1/2)} at y = 0.1 makes
+1,371 ``branch`` and 2,663 ``phi`` calls for its 8,000 grid points, edge
+refinement included, and on a signal-free model one ``phi`` call per
+``branch`` call.
 
 Kernels call each other through this module's globals (``phi`` inside
 ``solve_s``, ``branch`` inside ``sweep``, ...), never through local aliases.
@@ -24,6 +27,8 @@ Status codes returned by kernels:
   4  derivative singular (implicit-differentiation denominator vanished)
   5  a real root found by a cold start between two folds of the branch;
      it may lie on another branch and is not checked here (``sweep`` only)
+  6  not solved: the sweep jumped over this point on a smooth stretch
+     between two solved points of the same status (``sweep`` only)
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ POLE = 2
 NO_BRACKET = 3
 SINGULAR = 4
 COLD = 5
+SKIPPED = 6
 
 # Magnitudes below this count as a pole.
 POLE_EPS = 1e-14
@@ -51,6 +57,10 @@ SOLVE_MAX_ITER = 50
 # the predicted step (plus DECLINE_SLACK*(1+|s|)): it lies on another branch.
 FAR_FACTOR = 2.0
 DECLINE_SLACK = 1e-9
+# sweep jumps STRIDE grid points at a time where the branch is smooth: the
+# root within EASY predicted steps and x within EASY of its linear prediction.
+STRIDE = 8
+EASY = 0.05
 
 
 def effective_tol(tol, z):
@@ -324,17 +334,29 @@ def _walk(order, gs, u, t, w, y, s_arr, x_arr, d_arr, status, den, cold):
     (NO_BRACKET). An anchored walk (``cold`` false) starts Newton from the
     prediction, the first point from the pin s = g, and stops after its
     first failure. A cold walk starts every point from the pin, goes on
-    past failures and marks accepted points COLD. Fills the output arrays
-    in place and returns the number of points walked.
+    past failures and marks accepted points COLD.
+
+    Once following, the walk tries a jump of STRIDE grid points. The jump
+    is kept only where the stretch is smooth: the root lies within EASY
+    predicted steps, dx/dg and every denominator keep their signs, and x
+    is within EASY of its linear prediction. The points jumped over are
+    marked SKIPPED. Otherwise the window is walked point by point, so
+    folds, declines and sign changes are found on the grid's own cells.
+    Fills the output arrays in place and returns the number of points
+    walked.
     """
     n = u.shape[0]
+    m = len(order)
     follow = False
-    g_prev = 0.0
-    s_prev = 0.0
-    ds_prev = 0.0
+    g_prev = s_prev = ds_prev = x_prev = dx_prev = 0.0
+    i_prev = 0
     step = 0.0
-    walked = 0
-    for i in order:
+    plain_to = 0  # positions before this one are walked point by point
+    p = 0
+    while p < m:
+        q = p + STRIDE - 1
+        jump = follow and p >= plain_to and p < q < m
+        i = order[q] if jump else order[p]
         g = gs[i]
         if follow:
             step = ds_prev * (g - g_prev)
@@ -342,11 +364,26 @@ def _walk(order, gs, u, t, w, y, s_arr, x_arr, d_arr, status, den, cold):
         else:
             pred = g
         s, x, dx_dg, ds_dg, st = branch(g, u, t, w, y, g if cold else pred)
-        if (
-            follow
-            and st == OK
-            and abs(s - pred) > FAR_FACTOR * abs(step) + DECLINE_SLACK * (1.0 + abs(s))
-        ):
+        slack = DECLINE_SLACK * (1.0 + abs(s))
+        if jump:
+            dx_lin = dx_prev * (g - g_prev)
+            smooth = (
+                st == OK
+                and abs(s - pred) <= EASY * abs(step) + slack
+                and (dx_dg > 0.0) == (dx_prev > 0.0)
+                and abs(x - x_prev - dx_lin) <= EASY * abs(dx_lin)
+                and all((1.0 + u[k] * g + t[k] * s > 0.0) == (den[i_prev, k] > 0.0)
+                        for k in range(n))
+            )
+            if not smooth:
+                plain_to = q + 1
+                continue
+            for j in order[p:q]:
+                s_arr[j] = x_arr[j] = d_arr[j] = np.nan
+                den[j, :] = np.nan
+                status[j] = SKIPPED
+            p = q
+        elif follow and st == OK and abs(s - pred) > FAR_FACTOR * abs(step) + slack:
             st = NO_BRACKET
         follow = st == OK
         if follow and cold:
@@ -360,32 +397,37 @@ def _walk(order, gs, u, t, w, y, s_arr, x_arr, d_arr, status, den, cold):
                 den[i, k] = 1.0 + u[k] * g + t[k] * s
             else:
                 den[i, k] = np.nan
-        walked += 1
+        p += 1
         if not follow and not cold:
-            return walked
+            return p
         g_prev = g
         s_prev = s
         ds_prev = ds_dg
-    return walked
+        x_prev = x
+        dx_prev = dx_dg
+        i_prev = i
+    return p
 
 
 def sweep(gs, u, t, w, y):
     """Real-branch evaluation over a parameter grid, following the branch.
 
-    Each sign's points are covered by three walks (``_walk``), and every
-    point is solved once. Two walks are anchored where the pin s = g
-    reaches the branch and stop at their first fold: outward from the point
-    nearest g = 0, where the branch is s = g, and inward from the point
-    farthest from 0. There every denominator 1 + u*g + t*s has the sign of
-    g at s = g, so phi(g, .) is concave (g < 0) or convex (g > 0) on the
-    pin's pole-free interval, and Newton from the pin moves monotonically
-    to the nearest root; on g < 0 that root carries the lowest gap. The
+    Each sign's points are covered by three walks (``_walk``). A point is
+    solved once or, inside a smooth stretch, jumped over and marked
+    SKIPPED. Two walks are anchored where the pin s = g reaches the branch
+    and stop at their first fold: outward from the point nearest g = 0,
+    where the branch is s = g, and inward from the point farthest from 0.
+    There every denominator 1 + u*g + t*s has the sign of g at s = g, so
+    phi(g, .) is concave (g < 0) or convex (g > 0) on the pin's pole-free
+    interval, and Newton from the pin moves monotonically to the nearest
+    root; on g < 0 that root carries the lowest gap. The
     points between the two folds are walked cold. A root found there may
     lie on another branch, so it is marked COLD, and ``find_gaps`` checks
     such runs against the boundary pair before it uses them.
 
     Returns (s, x, dx_dg, status, den) arrays; den[i, k] is atom k's
-    denominator 1 + u*g + t*s at grid point i (NaN where the point failed).
+    denominator 1 + u*g + t*s at grid point i. A skipped point has NaN in
+    every array but status, and a failed one NaN in den.
     """
     m = gs.shape[0]
     n = u.shape[0]

@@ -8,20 +8,26 @@ a consistent atom-denominator sign pattern, and refining run boundaries.
 
 The sweep (``_kernels.sweep``) follows the branch from both ends of each
 side's grid: outward from g -> 0, where s = g, and inward from the far end,
-where Newton from s = g reaches the branch monotonically. Each grid point
+where Newton from s = g reaches the branch monotonically. Each solved point
 is predicted from the last one by the tangent s'(g) and corrected by
 Newton, and a root far from the prediction lies on another branch and is
-declined. Points between the folds where both walks stop are solved cold
-from s = g and marked COLD; a run of them counts as a gap only when the
-boundary pair at its middle point equals its (s, g). Run boundaries are
-refined by Brent's method on dx/dg (``_brent``, a port of scipy's brentq,
-so the package needs numpy alone), each evaluation seeded on the chord of
-the sweep's s across the bracketing cell, so the refinement stays on the
-same branch. Each reported gap is then checked once against ``boundary_value``
-at its midpoint; a pair that is not real there raises NotInGapError. That
-check catches only a reported gap whose midpoint lies in the support: it
-cannot see a wrong edge of a gap whose midpoint is right, nor a gap that
-was not reported.
+declined. On smooth stretches the sweep solves every STRIDE-th point and
+marks the others SKIPPED; ``find_gaps`` drops those, and since every fold,
+decline and sign change is walked point by point, the runs and their
+bracketing cells are those of the full grid. Points between the folds
+where both walks stop are solved cold from s = g and marked COLD; a run of
+them counts as a gap only when the boundary pair at its middle point
+equals its (s, g). Run boundaries are refined by Brent's method on dx/dg
+(``_brent``, a port of scipy's brentq, so the package needs numpy alone),
+each evaluation seeded on the chord of the sweep's s across the bracketing
+cell, so the refinement stays on the same branch. A run whose grid
+neighbour failed (a fold within one cell) is first bisected toward it
+from its end's tangent, down to a point with dx/dg <= 0 for Brent or to
+the fold itself. Each reported gap is then checked once against
+``boundary_value`` at its midpoint; a pair that is not real there raises
+NotInGapError. That check catches only a reported gap whose midpoint lies
+in the support: it cannot see a wrong edge of a gap whose midpoint is
+right, nor a gap that was not reported.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ DEFAULT_G_INNER = 1e-6
 DEFAULT_N_GRID = 4000
 
 ROOT_RESIDUAL_TOL = 1e-12
+# An edge at a fold of the branch is located to this relative accuracy in g.
+FOLD_RTOL = 1e-12
 # A boundary pair with |Im s| at or above this is not inside a gap.
 GAP_IMAG_TOL = 1e-6
 # Unbounded gaps (a, inf) are sampled on (a, a + UNBOUNDED_SPAN).
@@ -262,6 +270,43 @@ def _refine_stationary(cell, u, t, w, y):
     return g_star, float(_seeded_branch(g_star, cell, u, t, w, y)[0])
 
 
+def _refine_toward_failure(g_end, s_end, g_fail, u, t, w, y):
+    """Edge of a run whose grid neighbour g_fail has no point on the branch.
+
+    Bisects from the run end g_end (dx/dg > 0) toward g_fail, each
+    evaluation seeded on the run end's tangent s_end + s'(g_end)*(g - g_end).
+    A point with a root far from that seed (FAR_FACTOR, as in the sweep) or
+    with another denominator sign pattern counts as failed. The first point
+    reached with dx/dg <= 0 brackets the edge with the last point with
+    dx/dg > 0, and Brent refines it; otherwise the bisection closes on the
+    fold (or on g_fail, if no point before it fails) to FOLD_RTOL relative
+    and returns its last point with dx/dg > 0. Returns (g, x).
+    """
+    s_end, x_end, _dx, ds_end, status = K.branch(float(g_end), u, t, w, y, float(s_end))
+    if status != K.OK:
+        raise CoarseGridError(
+            f"branch evaluation failed at g={g_end} while refining; raise n_grid"
+        )
+    signs = 1.0 + u * g_end + t * s_end > 0.0
+    lo, s_lo, x_lo, hi = float(g_end), s_end, x_end, float(g_fail)
+    while abs(hi - lo) > FOLD_RTOL * abs(lo):
+        g = 0.5 * (lo + hi)
+        step = ds_end * (g - g_end)
+        seed = s_end + step
+        s, x, dx_dg, _ds, status = K.branch(g, u, t, w, y, seed)
+        if (
+            status != K.OK
+            or abs(s - seed) > K.FAR_FACTOR * abs(step) + K.DECLINE_SLACK * (1.0 + abs(s))
+            or np.any((1.0 + u * g + t * s > 0.0) != signs)
+        ):
+            hi = g
+        elif dx_dg > 0.0:
+            lo, s_lo, x_lo = g, s, x
+        else:
+            return _refine_stationary((lo, s_lo, g, s), u, t, w, y)
+    return lo, x_lo
+
+
 def _on_branch(g, s, x, cfg: ModelConfig) -> bool:
     """Whether the sweep point (g, s) at x is the boundary pair there.
 
@@ -297,8 +342,9 @@ def find_gaps(
 
     Sweeps g over log-spaced grids on (g_lo, 0) and (0, g_hi), keeps
     maximal runs where dx/dg > 0 with a per-atom constant denominator
-    sign, refines finite run boundaries to stationary points of x, clamps
-    the gap reached as g -> -inf to a = 0 (y < 1), and maps the run ending
+    sign, refines finite run boundaries to stationary points of x (or to
+    the fold of the branch, FOLD_RTOL relative in g, where one cuts the
+    run short), clamps the gap reached as g -> -inf to a = 0 (y < 1), and maps the run ending
     at g -> 0- to the unbounded gap (sup of support, +inf). A run of COLD
     sweep points (between two folds, reached by a cold start) is kept only
     when the boundary pair at its middle point matches its (s, g) within
@@ -319,6 +365,11 @@ def find_gaps(
     for sign, bound in ((-1.0, abs(g_lo)), (1.0, abs(g_hi))):
         gs = _log_grid(DEFAULT_G_INNER, bound, n_grid, sign)
         s_arr, x_arr, dx_arr, status, den = K.sweep(gs, u, t, w, y)
+        # a skipped point lies between two solved ones of the same kind
+        keep = status != K.SKIPPED
+        gs, s_arr, x_arr, dx_arr, status, den = (
+            a[keep] for a in (gs, s_arr, x_arr, dx_arr, status, den)
+        )
         reached = ((status == K.OK) | (status == K.COLD)).tolist()
         good = [r and d > 0.0 for r, d in zip(reached, dx_arr.tolist())]
         # same_signs[i]: points i and i + 1 share every atom's denominator sign
@@ -349,6 +400,8 @@ def find_gaps(
             elif reached[i0 - 1] and dx_arr[i0 - 1] <= 0.0 and same_signs[i0 - 1]:
                 cell = (gs[i0], s_arr[i0], gs[i0 - 1], s_arr[i0 - 1])
                 g_a, a = _refine_stationary(cell, u, t, w, y)
+            elif not reached[i0 - 1]:
+                g_a, a = _refine_toward_failure(gs[i0], s_arr[i0], gs[i0 - 1], u, t, w, y)
             else:
                 g_a, a = gs[i0], x_arr[i0]
 
@@ -357,6 +410,8 @@ def find_gaps(
             elif reached[i1 + 1] and dx_arr[i1 + 1] <= 0.0 and same_signs[i1]:
                 cell = (gs[i1], s_arr[i1], gs[i1 + 1], s_arr[i1 + 1])
                 g_b, b = _refine_stationary(cell, u, t, w, y)
+            elif not reached[i1 + 1]:
+                g_b, b = _refine_toward_failure(gs[i1], s_arr[i1], gs[i1 + 1], u, t, w, y)
             else:
                 g_b, b = gs[i1], x_arr[i1]
 

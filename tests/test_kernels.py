@@ -11,7 +11,8 @@ from oracles import two_atom_s_of_g
 
 
 def test_status_codes_are_distinct():
-    assert len({K.OK, K.NO_CONVERGE, K.POLE, K.NO_BRACKET, K.SINGULAR, K.COLD}) == 6
+    codes = {K.OK, K.NO_CONVERGE, K.POLE, K.NO_BRACKET, K.SINGULAR, K.COLD, K.SKIPPED}
+    assert len(codes) == 7
 
 
 def _count_calls(monkeypatch, names):
@@ -53,17 +54,48 @@ def _grid(sign):
     return np.sort(sign * np.geomspace(DEFAULT_G_INNER, DEFAULT_G_BOUND, DEFAULT_N_GRID))
 
 
-def test_sweep_points_match_closed_form_branch(two_atom_config):
+def _assert_skips_lie_inside_smooth_stretches(status, d, den):
+    # a jump spans one walk's accepted points, so every SKIPPED run sits
+    # between two solved points of one status, one sign of dx/dg and one
+    # denominator sign pattern: a fold, a decline, a COLD boundary or a
+    # sign change is found on the grid's own cells
+    skipped = status == K.SKIPPED
+    assert not skipped[0] and not skipped[-1]
+    edges = np.flatnonzero(np.diff(skipped.astype(np.int8)))
+    for first, last in zip(edges[::2] + 1, edges[1::2]):
+        before, after = first - 1, last + 1
+        assert status[before] == status[after]
+        assert status[before] in (K.OK, K.COLD)
+        assert (d[before] > 0.0) == (d[after] > 0.0)
+        np.testing.assert_array_equal(den[before] > 0.0, den[after] > 0.0)
+
+
+def test_sweep_points_match_closed_form_branch(two_atom_config, monkeypatch):
     u, t, w = spectrum_arrays(two_atom_config.spectrum)
     y = two_atom_config.y
+    for stride in (1, K.STRIDE):
+        monkeypatch.setattr(K, "STRIDE", stride)
+        for sign in (-1.0, 1.0):
+            gs = _grid(sign)
+            s, _x, d, status, den = K.sweep(gs, u, t, w, y)
+            ok = status == K.OK
+            skipped = status == K.SKIPPED
+            assert np.any(skipped) == (stride > 1)
+            # only the points inside the support (no real root there) fail
+            assert np.count_nonzero(ok | skipped) >= len(gs) - 60
+            _assert_skips_lie_inside_smooth_stretches(status, d, den)
+            ref = np.array([two_atom_s_of_g(g, y) for g in gs[ok]])
+            np.testing.assert_allclose(s[ok], ref, rtol=1e-12, atol=0.0)
+
+
+def test_strided_sweep_solves_at_most_a_quarter_of_the_points(two_atom_config, monkeypatch):
+    u, t, w = spectrum_arrays(two_atom_config.spectrum)
+    calls = _count_calls(monkeypatch, ("branch",))
     for sign in (-1.0, 1.0):
-        gs = _grid(sign)
-        s, _x, _d, status, _den = K.sweep(gs, u, t, w, y)
-        ok = status == K.OK
-        # only the points inside the support (no real root there) fail
-        assert np.count_nonzero(ok) >= len(gs) - 60
-        ref = np.array([two_atom_s_of_g(g, y) for g in gs[ok]])
-        np.testing.assert_allclose(s[ok], ref, rtol=1e-12, atol=0.0)
+        calls["branch"] = 0
+        status = K.sweep(_grid(sign), u, t, w, two_atom_config.y)[3]
+        assert calls["branch"] <= DEFAULT_N_GRID // 4
+        assert np.count_nonzero(status == K.SKIPPED) >= DEFAULT_N_GRID * 3 // 4
 
 
 def test_find_gaps_makes_few_phi_calls_per_sweep_point(two_atom_config, monkeypatch):
@@ -82,14 +114,25 @@ def test_find_gaps_makes_few_phi_calls_per_sweep_point(two_atom_config, monkeypa
 
 
 def test_signal_free_sweep_costs_one_phi_call_per_point(mp_config, monkeypatch):
-    # u = 0: phi(g, s) = s - g, the predictor lands on s = g exactly
+    # u = 0: phi(g, s) = s - g, the predictor lands on s = g exactly, also
+    # across a jump (g and the point it jumps from are within a factor 2)
     u, t, w = spectrum_arrays(mp_config.spectrum)
     gs = _grid(-1.0)
     calls = _count_calls(monkeypatch, ("phi", "branch"))
-    s, _x, _d, status, _den = K.sweep(gs, u, t, w, mp_config.y)
-    assert calls == {"phi": len(gs), "branch": len(gs)}
-    assert np.all(status == K.OK)
-    np.testing.assert_array_equal(s, gs)
+    for stride in (1, K.STRIDE):
+        monkeypatch.setattr(K, "STRIDE", stride)
+        calls["phi"] = calls["branch"] = 0
+        s, _x, d, status, den = K.sweep(gs, u, t, w, mp_config.y)
+        solved = status != K.SKIPPED
+        assert calls["phi"] == calls["branch"]
+        if stride == 1:
+            assert calls["branch"] == len(gs)
+            assert np.all(solved)
+        else:
+            assert calls["branch"] <= len(gs) // 4
+        assert np.all(status[solved] == K.OK)
+        _assert_skips_lie_inside_smooth_stretches(status, d, den)
+        np.testing.assert_array_equal(s[solved], gs[solved])
 
 
 def _is_boundary_pair(g, s, x, cfg):
@@ -119,8 +162,10 @@ def test_sweep_anchors_both_ends_and_marks_points_between_folds_cold(monkeypatch
         return result
 
     monkeypatch.setattr(K, "branch", recording)
-    s, x, d, status, _den = K.sweep(gs, u, t, w, cfg.y)
-    assert len(returned) == len(gs)  # every point solved once
+    s, x, d, status, den = K.sweep(gs, u, t, w, cfg.y)
+    # every point is solved or jumped over inside a smooth stretch
+    assert set(gs[status != K.SKIPPED].tolist()) <= set(returned)
+    _assert_skips_lie_inside_smooth_stretches(status, d, den)
 
     # a root Newton reached far from its prediction is declined
     declined = [

@@ -12,6 +12,7 @@ from specsep import (
     JointSpectrum,
     ModelConfig,
     NotInGapError,
+    SpecsepError,
     StieltjesPair,
     boundary_value,
     density,
@@ -36,14 +37,52 @@ from oracles import (
     two_atom_s_of_g,
 )
 
-# (atoms, y, number of gaps); the gap counts agree with a scan of
-# boundary_value on 3,000 points of (0, 20)
+# (atoms, y, number of gaps) of models the sweep once got wrong
+GAP_MODELS = {
+    # the sweep used to accept a root off the branch for g in about
+    # (-0.368, -0.311) and report the spurious gap (0.565, 0.871)
+    "defect-A": ([(0.0, 1.0, 0.3), (2.0, 0.7, 0.3), (8.0, 1.3, 0.4)], 0.2, 4),
+    # an off-branch root near g = -0.26 stretched the lowest gap to
+    # (0, 0.82494); the support starts at 0.76553
+    "defect-B": ([(0.0, 1.0, 0.2), (3.0, 0.5, 0.5), (9.0, 2.0, 0.3)], 0.05, 4),
+    # an off-branch root merged the gaps (4.72561, 6.52308) and
+    # (14.98462, inf) into (4.72561, inf), dropping a support piece that
+    # holds half the eigenvalues
+    "defect-C": ([(1.0, 2.0, 0.5), (8.0, 2.0, 0.5)], 0.25, 3),
+    # between the folds the cold walk used to follow one root from a cold
+    # start across the whole stretch, past the interior gaps
+    # (0.8973, 1.2457) and (4.3646, 4.6744) respectively; solving each point
+    # from s = g finds their branch
+    "cold-walk-1": (
+        [(0.292, 0.326, 1 / 3), (4.52, 2.762, 1 / 3), (3.651, 2.685, 1 / 3)], 0.7447169605244107, 3
+    ),
+    "cold-walk-2": (
+        [(5.78, 1.277, 1 / 3), (0.0, 1.285, 1 / 3), (0.508, 1.948, 1 / 3)], 0.6045830648981424, 3
+    ),
+    # reported as the single gap (0, inf), which the midpoint check
+    # refused; the gaps are (0, 2.2808), (3.9642, 4.4645), (10.954, inf)
+    "single-gap": ([(3.0, 0.33, 0.41), (5.0, 2.35, 0.333), (6.0, 0.49, 0.257)], 0.212, 3),
+}
+
+# Random models on which the sweep declines a root far from its prediction,
+# run on the default grid and on a coarse one. Before the walk inward from
+# g = -1e4, the cold restarts after the fold followed another root out to
+# g = -1e4 (s -> +inf), and find_gaps reported (0, inf) or (0, b) with b in
+# the support. (atoms, y, number of gaps); the gap counts agree with a scan
+# of boundary_value on 3,000 points of (0, 20).
 DECLINE_MODELS = [
     ([(2.61, 1.545, 1 / 3), (2.489, 2.859, 1 / 3), (0.71, 1.667, 1 / 3)], 0.16354980189295273, 2),
     ([(8.045, 0.927, 0.5), (3.166, 1.6, 0.5)], 0.7686733024976289, 2),
     ([(0.458, 1.041, 1 / 3), (1.319, 1.082, 1 / 3), (5.663, 0.812, 1 / 3)], 0.3313811393469143, 3),
     ([(7.532, 2.52, 1 / 3), (0.0, 1.232, 1 / 3), (4.452, 1.38, 1 / 3)], 0.6086039933906717, 3),
 ]
+
+# At the default grid the inward walk leaves the branch on this model; see
+# test_inward_walk_keeps_the_branch_past_the_lowest_edge
+INWARD_WALK_MODEL = (
+    [(6.227896148379183, 0.47266306707213473, 0.5), (7.0103791906256685, 2.586749636642674, 0.5)],
+    0.14438485202148937,
+)
 
 
 class TestSolveSGivenG:
@@ -226,46 +265,9 @@ class TestFindGaps:
     @pytest.mark.parametrize(
         "atoms, y, n_gaps, n_grid",
         [
-            # the sweep used to accept a root off the branch for g in about
-            # (-0.368, -0.311) and report the spurious gap (0.565, 0.871)
-            pytest.param(
-                [(0.0, 1.0, 0.3), (2.0, 0.7, 0.3), (8.0, 1.3, 0.4)], 0.2, 4, DEFAULT_N_GRID,
-                id="defect-A",
-            ),
-            # an off-branch root near g = -0.26 stretched the lowest gap to
-            # (0, 0.82494); the support starts at 0.76553
-            pytest.param(
-                [(0.0, 1.0, 0.2), (3.0, 0.5, 0.5), (9.0, 2.0, 0.3)], 0.05, 4, DEFAULT_N_GRID,
-                id="defect-B",
-            ),
-            # an off-branch root merged the gaps (4.72561, 6.52308) and
-            # (14.98462, inf) into (4.72561, inf), dropping a support piece
-            # that holds half the eigenvalues
-            pytest.param(
-                [(1.0, 2.0, 0.5), (8.0, 2.0, 0.5)], 0.25, 3, DEFAULT_N_GRID, id="defect-C"
-            ),
-            # random models on which the sweep declines a root far from its
-            # prediction, each on the default grid and on a coarse one. Before
-            # the walk inward from g = -1e4, the cold restarts after the fold
-            # followed another root out to g = -1e4 (s -> +inf), and
-            # find_gaps reported (0, inf) or (0, b) with b in the support.
-            # between the folds the cold walk used to follow one root from a
-            # cold start across the whole stretch, past the interior gaps
-            # (0.8973, 1.2457) and (4.3646, 4.6744) respectively; solving each
-            # point from s = g finds their branch
-            pytest.param(
-                [(0.292, 0.326, 1 / 3), (4.52, 2.762, 1 / 3), (3.651, 2.685, 1 / 3)],
-                0.7447169605244107, 3, DEFAULT_N_GRID, id="cold-walk-1",
-            ),
-            pytest.param(
-                [(5.78, 1.277, 1 / 3), (0.0, 1.285, 1 / 3), (0.508, 1.948, 1 / 3)],
-                0.6045830648981424, 3, DEFAULT_N_GRID, id="cold-walk-2",
-            ),
-            # reported as the single gap (0, inf), which the midpoint check
-            # refused; the gaps are (0, 2.2808), (3.9642, 4.4645), (10.954, inf)
-            pytest.param(
-                [(3.0, 0.33, 0.41), (5.0, 2.35, 0.333), (6.0, 0.49, 0.257)], 0.212, 3,
-                DEFAULT_N_GRID, id="single-gap",
+            *(
+                pytest.param(atoms, y, n_gaps, DEFAULT_N_GRID, id=name)
+                for name, (atoms, y, n_gaps) in GAP_MODELS.items()
             ),
             *(
                 pytest.param(atoms, y, n_gaps, n_grid, id=f"decline-{k}-{n_grid}")
@@ -287,6 +289,44 @@ class TestFindGaps:
                 pair = boundary_value(float(x), cfg)
                 assert abs(pair.s_under.imag) < 1e-6, (gap, x, pair.s_under)
 
+    def test_edges_next_to_a_failed_grid_point_are_refined(self, two_atom_config):
+        # at 500 points per side the grid point past each of these edges has
+        # no real root (a fold within one cell); they used to be reported at
+        # grid accuracy, as 7.1740 and 11.1459
+        gaps = find_gaps(two_atom_config, n_grid=500)
+        assert len(gaps) == 3
+        assert gaps[1].b == pytest.approx(7.28415976954, abs=1e-9)
+        assert gaps[2].a == pytest.approx(10.9748208467, abs=1e-9)
+
+    def test_coarse_grid_edges_next_to_folds_match_the_default_grid(self):
+        # at 400 points per side the middle gap used to end at 4.860834 and
+        # the top gap to start at 9.091904, inside the true gaps
+        atoms, y, _n_gaps = DECLINE_MODELS[2]
+        cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
+        coarse = find_gaps(cfg, n_grid=400)
+        fine = find_gaps(cfg)
+        assert len(coarse) == len(fine) == 3
+        for c, f in zip(coarse, fine):
+            assert (c.a, c.b) == pytest.approx((f.a, f.b), rel=1e-12, abs=0.0)
+
+    @pytest.mark.xfail(
+        raises=NotInGapError,
+        strict=True,
+        reason="at the default grid the inward walk lands on another root near "
+        "g = -0.1794 without a decline and reports the single gap (0, inf)",
+    )
+    def test_inward_walk_keeps_the_branch_past_the_lowest_edge(self):
+        # n_grid 400, 2000 and 8000 give these gaps, and a 2,000-point scan
+        # of boundary_value confirms them
+        atoms, y = INWARD_WALK_MODEL
+        cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
+        gaps = find_gaps(cfg)
+        assert len(gaps) == 2
+        assert gaps[0].a == 0.0
+        assert gaps[0].b == pytest.approx(4.810733895411131, rel=1e-12)
+        assert gaps[1].a == pytest.approx(13.690979818455965, rel=1e-12)
+        assert math.isinf(gaps[1].b)
+
     def test_non_real_gap_midpoint_raises(self, mp_config, monkeypatch):
         calls = []
 
@@ -299,6 +339,68 @@ class TestFindGaps:
             find_gaps(mp_config)
         # the gap (0, 0.25) is checked first, at its midpoint
         assert calls == [0.125]
+
+
+def _random_models(seed, count, y_max):
+    """Random 1-3-atom models: u 0 (probability 0.3) or uniform on (0, 10),
+    t uniform on (0.2, 3), equal weights, y uniform on (0.02, y_max)."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(count):
+        k = int(rng.integers(1, 4))
+        atoms = [
+            (
+                0.0 if rng.random() < 0.3 else float(rng.uniform(0, 10)),
+                float(rng.uniform(0.2, 3.0)),
+                1.0 / k,
+            )
+            for _ in range(k)
+        ]
+        models.append((atoms, float(rng.uniform(0.02, y_max))))
+    return models
+
+
+def _gaps_or_error(cfg, n_grid):
+    try:
+        return [(g.a, g.b, g.g_a, g.g_b) for g in find_gaps(cfg, n_grid=n_grid)]
+    except SpecsepError as exc:
+        return type(exc).__name__
+
+
+STRIDE_MODELS = [
+    ([(0.0, 1.0, 1.0)], 0.25),
+    ([(0.0, 1.0, 0.5), (8.0, 1.0, 0.5)], 0.1),
+    *((atoms, y) for atoms, y, _n in GAP_MODELS.values()),
+    *((atoms, y) for atoms, y, _n in DECLINE_MODELS),
+    INWARD_WALK_MODEL,
+]
+
+
+class TestStridedSweep:
+    """The sweep's jumps over smooth stretches leave find_gaps unchanged."""
+
+    @staticmethod
+    def _assert_stride_invariant(monkeypatch, atoms, y, n_grid):
+        cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
+        strided = _gaps_or_error(cfg, n_grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(K, "STRIDE", 1)
+            plain = _gaps_or_error(cfg, n_grid)
+        if isinstance(plain, str) or isinstance(strided, str):
+            assert strided == plain, (atoms, y)
+            return
+        assert len(strided) == len(plain), (atoms, y)
+        for a, b in zip(strided, plain):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=f"{atoms}, {y}")
+
+    @pytest.mark.parametrize("n_grid", [400, DEFAULT_N_GRID])
+    def test_regression_models_match_stride_one(self, monkeypatch, n_grid):
+        for atoms, y in STRIDE_MODELS:
+            self._assert_stride_invariant(monkeypatch, atoms, y, n_grid)
+
+    def test_random_models_match_stride_one(self, monkeypatch):
+        for atoms, y in _random_models(11, 60, 0.8):
+            self._assert_stride_invariant(monkeypatch, atoms, y, DEFAULT_N_GRID)
 
 
 # _refine_stationary's Brent settings
