@@ -51,20 +51,17 @@ class TrialResult:
 
 
 def build_deterministic(spectrum: JointSpectrum, n: int, p: int):
-    """Deterministic factors (R, T_diag, pairs) consistent with the spectrum.
+    """Diagonals (r_diag, t_diag, pairs) of the deterministic factors.
 
-    R is p x n with R[j, j] = sqrt(n * u_j) so that (1/n) R R* = diag(u),
-    and T_diag[j] = t_j; both are diagonal in the same basis, hence commute.
+    R = [diag(r_diag) | 0] is p x n with r_diag[j] = sqrt(n * u_j), so that
+    (1/n) R R* = diag(u), and T = diag(t_diag) with t_diag[j] = t_j; both are
+    diagonal in the same basis, hence commute. Only the diagonals are built.
     """
     if p > n:
         raise SpectrumError(f"need p <= n, got p={p}, n={n}")
     pairs = materialize_pairs(spectrum, p)
-    r = np.zeros((p, n))
-    t_diag = np.empty(p)
-    for j, (u, t) in enumerate(pairs):
-        r[j, j] = math.sqrt(n * u)
-        t_diag[j] = t
-    return r, t_diag, pairs
+    ut = np.array(pairs, dtype=np.float64).reshape(p, 2)
+    return np.sqrt(n * ut[:, 0]), ut[:, 1].copy(), pairs
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -96,12 +93,26 @@ def sample_B(simcfg: SimConfig, trial_index: int) -> np.ndarray:
 
     The noise stream is derived deterministically from (seed, trial_index);
     identical configurations replay bit-identical matrices.
+
+    With D = R / sqrt(n) = [diag(d) | 0], d = sqrt(u), and the noise scaled
+    in place to S = T^{1/2} X / sqrt(n), the matrix (D + S)(D + S)* is
+    S S* + M + M* + diag(d^2) with M = D S* = d[:, None] * S[:, :p]*. Only
+    the first p columns of S meet the signal, so for real entries the noise
+    is the one p x n array made.
     """
     rng = _trial_rng(simcfg.seed, trial_index)
-    r, t_diag, _pairs = build_deterministic(simcfg.spectrum, simcfg.n, simcfg.p)
-    x = sample_noise(rng, (simcfg.p, simcfg.n), simcfg.noise_law, simcfg.complex_entries)
-    y_mat = (r + np.sqrt(t_diag)[:, None] * x) / math.sqrt(simcfg.n)
-    b = y_mat @ y_mat.conj().T
+    n, p = simcfg.n, simcfg.p
+    r_diag, t_diag, _pairs = build_deterministic(simcfg.spectrum, n, p)
+    x = sample_noise(rng, (p, n), simcfg.noise_law, simcfg.complex_entries)
+    # two passes, so that S rounds as (R + T^{1/2} X) / sqrt(n) does off R's
+    # diagonal: pure-noise models give the dense product's B bit for bit
+    x *= np.sqrt(t_diag)[:, None]
+    x /= math.sqrt(n)
+    b = x @ x.conj().T  # syrk for real entries
+    d = r_diag / math.sqrt(n)
+    m = d[:, None] * x[:, :p].conj().T
+    b += m + m.conj().T
+    b[np.diag_indices(p)] += d * d
     return (b + b.conj().T) / 2.0
 
 

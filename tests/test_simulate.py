@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,25 +28,49 @@ from specsep.simulate import sample_noise
 class TestBuildDeterministic:
     def test_pure_noise_gives_zero_signal(self):
         spec = JointSpectrum.from_atoms([(0.0, 1.0, 1.0)])
-        r, t_diag, pairs = build_deterministic(spec, 8, 4)
-        assert np.all(r == 0)
+        r_diag, t_diag, pairs = build_deterministic(spec, 8, 4)
+        assert r_diag.shape == t_diag.shape == (4,)
+        assert np.all(r_diag == 0)
         assert np.all(t_diag == 1.0)
         assert pairs == [(0.0, 1.0)] * 4
 
-    def test_diagonal_scaling(self):
-        spec = JointSpectrum.from_atoms([(4.0, 1.0, 1.0)])
-        r, _, _ = build_deterministic(spec, 4, 2)
-        assert r.shape == (2, 4)
-        assert r[0, 0] == pytest.approx(4.0)  # sqrt(n*u) = sqrt(16)
-        assert r[1, 1] == pytest.approx(4.0)
+    def test_diagonal_scaling(self, two_atom_spectrum):
+        r_diag, _, _ = build_deterministic(JointSpectrum.from_atoms([(4.0, 1.0, 1.0)]), 4, 2)
+        assert r_diag.shape == (2,)
+        assert np.all(r_diag == 4.0)  # sqrt(n*u) = sqrt(16)
+        n, p = 40, 10
+        r_diag, t_diag, pairs = build_deterministic(two_atom_spectrum, n, p)
+        assert r_diag.shape == t_diag.shape == (p,)
+        for j, (u, t) in enumerate(pairs):
+            assert r_diag[j] == math.sqrt(n * u)
+            assert t_diag[j] == t
 
     def test_normalized_gram_eigenvalues_match_pairs(self, two_atom_spectrum):
+        # R = [diag(r_diag) | 0], so (1/n) R R* has eigenvalues r_diag^2 / n
         n, p = 40, 10
-        r, _, pairs = build_deterministic(two_atom_spectrum, n, p)
-        gram = r @ r.T / n
-        eigs = np.sort(np.linalg.eigvalsh(gram))
+        r_diag, _, pairs = build_deterministic(two_atom_spectrum, n, p)
+        eigs = np.sort(r_diag**2 / n)
         expected = np.sort([u for u, _ in pairs])
         assert np.allclose(eigs, expected, atol=1e-12)
+
+
+def _dense_reference(cfg: SimConfig, trial_index: int) -> np.ndarray:
+    """(R + T^{1/2} X)(R + T^{1/2} X)* / n with a dense p x n R, from the trial's stream."""
+    pairs = materialize_pairs(cfg.spectrum, cfg.p)
+    r = np.zeros((cfg.p, cfg.n))
+    for j, (u, _t) in enumerate(pairs):
+        r[j, j] = math.sqrt(cfg.n * u)
+    t_half = np.sqrt([t for _u, t in pairs])
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(trial_index,)))
+    x = sample_noise(rng, (cfg.p, cfg.n), cfg.noise_law, cfg.complex_entries)
+    y = (r + t_half[:, None] * x) / math.sqrt(cfg.n)
+    return y @ y.conj().T
+
+
+DENSE_REFERENCE_MODELS = {
+    "pure-noise": [(0.0, 1.0, 1.0)],
+    "signal": [(0.0, 2.0, 0.5), (8.0, 0.5, 0.5)],
+}
 
 
 class TestSampleB:
@@ -70,6 +97,34 @@ class TestSampleB:
         expected = x @ x.T / 30
         expected = (expected + expected.T) / 2
         assert np.allclose(b, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("law", ["standard_gaussian", "rademacher", "uniform_standardized"])
+    @pytest.mark.parametrize("model", list(DENSE_REFERENCE_MODELS))
+    def test_matches_dense_reference(self, model, law, complex_entries):
+        spec = JointSpectrum.from_atoms(DENSE_REFERENCE_MODELS[model])
+        cfg = SimConfig(
+            spectrum=spec, n=90, p=30, seed=17, noise_law=law, complex_entries=complex_entries
+        )
+        b = sample_B(cfg, 2)
+        expected = _dense_reference(cfg, 2)
+        assert np.max(np.abs(b - expected)) <= 1e-12 * np.max(np.abs(expected))
+        if not complex_entries:
+            assert np.array_equal(b, b.T)
+            if model == "pure-noise":
+                assert np.array_equal(b, expected)
+
+    def test_one_trial_holds_one_noise_sized_array(self, two_atom_spectrum):
+        # a dense R and the temporaries of Y took over three p x n arrays
+        n, p = 2000, 200
+        cfg = SimConfig(spectrum=two_atom_spectrum, n=n, p=p, seed=3)
+        tracemalloc.start()
+        try:
+            sample_B(cfg, 0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * p * n
 
     def test_fixed_seed_replays_bit_identical(self, two_atom_spectrum):
         cfg = SimConfig(spectrum=two_atom_spectrum, n=50, p=10, seed=1234)

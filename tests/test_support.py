@@ -77,12 +77,23 @@ DECLINE_MODELS = [
     ([(7.532, 2.52, 1 / 3), (0.0, 1.232, 1 / 3), (4.452, 1.38, 1 / 3)], 0.6086039933906717, 3),
 ]
 
-# At the default grid the inward walk leaves the branch on this model; see
-# test_inward_walk_keeps_the_branch_past_the_lowest_edge
-INWARD_WALK_MODEL = (
-    [(6.227896148379183, 0.47266306707213473, 0.5), (7.0103791906256685, 2.586749636642674, 0.5)],
-    0.14438485202148937,
-)
+# At the default grid the inward walk leaves the branch on these models; see
+# test_inward_walk_keeps_the_branch_past_the_lowest_edge.
+# name: (atoms, y, lowest gap's upper edge, top gap's lower edge)
+INWARD_WALK_MODELS = {
+    "two-atom-1": (
+        [(6.227896148379183, 0.47266306707213473, 0.5), (7.0103791906256685, 2.586749636642674, 0.5)],
+        0.14438485202148937,
+        4.810733895411131,
+        13.690979818455965,
+    ),
+    "two-atom-2": (
+        [(9.261188851002531, 0.9280819826224467, 0.5), (6.4815065128284575, 1.284872246672546, 0.5)],
+        0.6274361286638828,
+        2.7824173567763664,
+        17.057999647578857,
+    ),
+}
 
 
 class TestSolveSGivenG:
@@ -312,19 +323,20 @@ class TestFindGaps:
     @pytest.mark.xfail(
         raises=NotInGapError,
         strict=True,
-        reason="at the default grid the inward walk lands on another root near "
-        "g = -0.1794 without a decline and reports the single gap (0, inf)",
+        reason="at the default grid the inward walk lands on another root past "
+        "the lowest edge without a decline and reports the single gap (0, inf)",
     )
-    def test_inward_walk_keeps_the_branch_past_the_lowest_edge(self):
-        # n_grid 400, 2000 and 8000 give these gaps, and a 2,000-point scan
-        # of boundary_value confirms them
-        atoms, y = INWARD_WALK_MODEL
+    @pytest.mark.parametrize("name", list(INWARD_WALK_MODELS))
+    def test_inward_walk_keeps_the_branch_past_the_lowest_edge(self, name):
+        # n_grid 2000 and 8000 give these gaps (400 too); on two-atom-1 a
+        # 2,000-point scan of boundary_value confirms them
+        atoms, y, b0, a1 = INWARD_WALK_MODELS[name]
         cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
         gaps = find_gaps(cfg)
         assert len(gaps) == 2
         assert gaps[0].a == 0.0
-        assert gaps[0].b == pytest.approx(4.810733895411131, rel=1e-12)
-        assert gaps[1].a == pytest.approx(13.690979818455965, rel=1e-12)
+        assert gaps[0].b == pytest.approx(b0, rel=1e-12)
+        assert gaps[1].a == pytest.approx(a1, rel=1e-12)
         assert math.isinf(gaps[1].b)
 
     def test_non_real_gap_midpoint_raises(self, mp_config, monkeypatch):
@@ -372,7 +384,7 @@ STRIDE_MODELS = [
     ([(0.0, 1.0, 0.5), (8.0, 1.0, 0.5)], 0.1),
     *((atoms, y) for atoms, y, _n in GAP_MODELS.values()),
     *((atoms, y) for atoms, y, _n in DECLINE_MODELS),
-    INWARD_WALK_MODEL,
+    *((atoms, y) for atoms, y, _b0, _a1 in INWARD_WALK_MODELS.values()),
 ]
 
 
