@@ -1,34 +1,31 @@
 """Hot numeric kernels of the transform solver and the real-branch sweep.
 
-Each kernel is a plain Python function with one path. Sums over atoms are
-scalar loops: models have one to a few atoms, and on 1-3 atoms the loop is
-3-5x faster per call than a numpy expression over the atom arrays (``phi``
-on 2 atoms: 2.6 us for the loop against 10.2 us for ``np.sum`` and 7.3 us
-for ``@``; see notes/decisions.md). The real-branch sweep follows the
-branch from both ends of the grid, predicting each root from the last one
-and correcting it by Newton. On smooth stretches it jumps STRIDE grid
-points at a time, and it walks every fold, decline and sign change point
-by point: ``find_gaps`` on atoms {(0,1,1/2), (8,1,1/2)} at y = 0.1 makes
-1,371 ``branch`` and 2,663 ``phi`` calls for its 8,000 grid points, edge
-refinement included, and on a signal-free model one ``phi`` call per
-``branch`` call.
+Each scalar kernel is a plain Python function with one path. Sums over atoms
+are scalar loops: models have one to a few atoms, and on 1-3 atoms the loop
+is 3-5x faster per call than a numpy expression over the atom arrays
+(``phi`` on 2 atoms: 2.6 us for the loop against 10.2 us for ``np.sum`` and
+7.3 us for ``@``; see notes/decisions.md). The same loops run elementwise
+on arrays, so ``phi`` and ``branch_terms`` also serve the sweep, which
+treats a whole grid at once: ``real_roots`` takes every root of the
+coupling constraint from one batched eigenvalue call on companion matrices
+and keeps the admissible one. On 4,000 grid points it takes 11 ms on atoms
+{(0,1,1/2), (8,1,1/2)} at y = 0.1 and 2.8 ms on a signal-free model (medians
+on a shared 2-core host, where the branch walk it replaced took 28 and
+17 ms), and ``find_gaps`` on the two-atom model makes 33 ``branch`` and 90
+``phi`` calls: 6 in its two sweeps, the rest in edge refinement.
 
 Kernels call each other through this module's globals (``phi`` inside
-``solve_s``, ``branch`` inside ``sweep``, ...), never through local aliases.
-A wrapper set as a module attribute, for a trace or a test, therefore sees
-every nested call as well as the outermost one.
+``solve_s`` and ``real_roots``, ``real_roots`` inside ``sweep``, ...), never
+through local aliases. A wrapper set as a module attribute, for a trace or
+a test, therefore sees every nested call as well as the outermost one.
 
 Status codes returned by kernels:
   0  success
   1  iteration budget exhausted
   2  pole guard tripped (a denominator magnitude fell below threshold)
   3  no real root on the branch: Newton left its pole-free interval or
-     stalled (a fold), or the sweep declined a root far from its prediction
+     stalled (a fold); in ``sweep``, no admissible root at the grid point
   4  derivative singular (implicit-differentiation denominator vanished)
-  5  a real root found by a cold start between two folds of the branch;
-     it may lie on another branch and is not checked here (``sweep`` only)
-  6  not solved: the sweep jumped over this point on a smooth stretch
-     between two solved points of the same status (``sweep`` only)
 """
 
 from __future__ import annotations
@@ -40,8 +37,6 @@ NO_CONVERGE = 1
 POLE = 2
 NO_BRACKET = 3
 SINGULAR = 4
-COLD = 5
-SKIPPED = 6
 
 # Magnitudes below this count as a pole.
 POLE_EPS = 1e-14
@@ -53,14 +48,12 @@ RESIDUAL_FLOOR = 1e-14
 STEP_TOL = 1e-10
 # Newton steps solve_s takes before it calls the point a fold.
 SOLVE_MAX_ITER = 50
-# sweep declines a root farther from its prediction than FAR_FACTOR times
-# the predicted step (plus DECLINE_SLACK*(1+|s|)): it lies on another branch.
-FAR_FACTOR = 2.0
-DECLINE_SLACK = 1e-9
-# sweep jumps STRIDE grid points at a time where the branch is smooth: the
-# root within EASY predicted steps and x within EASY of its linear prediction.
-STRIDE = 8
-EASY = 0.05
+# real_roots counts a root r with |Im r| <= ROOT_RTOL*(1 + |r|) as real, lets
+# the bound s'(x) >= s(x)^2 fail by ROOT_RTOL relative, and sweep takes
+# admitted roots whose x agree to ROOT_RTOL relative for one root.
+ROOT_RTOL = 1e-9
+# Newton steps on the rational phi that polish each real root.
+POLISH_STEPS = 3
 
 
 def effective_tol(tol, z):
@@ -287,161 +280,134 @@ def solve_s(g, u, t, w, y, s_center):
     return s, abs(f), NO_BRACKET
 
 
+def branch_terms(g, s, u, t, w, y):
+    """x(g), dx/dg, s'(g) and phi_s at a real root s of the coupling constraint.
+
+    x is the inverse map, s'(g) = -phi_g/phi_s comes from implicit
+    differentiation of the constraint, and dx/dg = 1/g^2 - y*A2 - y*B2*s'(g)
+    is analytic. The arithmetic is elementwise, so g and s may be scalars
+    (``branch``) or broadcasting arrays (``real_roots``, every root of a
+    grid at once).
+
+    Returns (x, dx_dg, ds_dg, phi_s).
+    """
+    x = -1.0 / g
+    a2 = 0.0
+    b2 = 0.0
+    u2 = 0.0
+    iu = 0.0
+    for k in range(u.shape[0]):
+        d = 1.0 + u[k] * g + t[k] * s
+        x = x + y * w[k] * t[k] / d
+        d2 = d * d
+        a2 = a2 + w[k] * u[k] * t[k] / d2
+        b2 = b2 + w[k] * t[k] * t[k] / d2
+        u2 = u2 + w[k] * u[k] * u[k] / d2
+        iu = iu + w[k] * u[k] / d
+    phi_g = 2.0 * y * g * iu - y * g * g * u2 - 1.0
+    phi_s = 1.0 - y * g * g * a2
+    s_prime = -phi_g / phi_s
+    dx_dg = 1.0 / (g * g) - y * a2 - y * b2 * s_prime
+    return x, dx_dg, s_prime, phi_s
+
+
 def branch(g, u, t, w, y, s_center):
     """Real-branch evaluation at one parameter value.
 
     Solves the coupling constraint for s by Newton from s_center, then
-    evaluates the inverse map x(g), s'(g) = -phi_g/phi_s by implicit
-    differentiation of the constraint, and the analytic derivative
-    dx/dg = 1/g^2 - y*A2 - y*B2*s'(g).
+    evaluates ``branch_terms`` at the root.
 
     Returns (s, x, dx_dg, ds_dg, status).
     """
     s, _res, status = solve_s(g, u, t, w, y, s_center)
     if status != OK:
         return s, 0.0, 0.0, 0.0, status
-    n = u.shape[0]
-    x = -1.0 / g
-    a2 = 0.0
-    b2 = 0.0
-    u2 = 0.0
-    iu = 0.0
-    for k in range(n):
-        d = 1.0 + u[k] * g + t[k] * s
-        if abs(d) < 1e-12:
-            return s, 0.0, 0.0, 0.0, POLE
-        x += y * w[k] * t[k] / d
-        d2 = d * d
-        a2 += w[k] * u[k] * t[k] / d2
-        b2 += w[k] * t[k] * t[k] / d2
-        u2 += w[k] * u[k] * u[k] / d2
-        iu += w[k] * u[k] / d
-    phi_g = 2.0 * y * g * iu - y * g * g * u2 - 1.0
-    phi_s = 1.0 - y * g * g * a2
+    if np.min(np.abs(1.0 + u * g + t * s)) < 1e-12:
+        return s, 0.0, 0.0, 0.0, POLE
+    x, dx_dg, s_prime, phi_s = branch_terms(g, s, u, t, w, y)
     if abs(phi_s) < 1e-14:
         return s, x, 0.0, 0.0, SINGULAR
-    s_prime = -phi_g / phi_s
-    dx_dg = 1.0 / (g * g) - y * a2 - y * b2 * s_prime
     return s, x, dx_dg, s_prime, OK
 
 
-def _walk(order, gs, u, t, w, y, s_arr, x_arr, d_arr, status, den, cold):
-    """Walk the grid indices in ``order`` (one sign), following one root.
+def _times_linear(p, a, b):
+    """Coefficient rows (highest power first) of p(s)*(a*s + b), row by row."""
+    out = np.zeros((p.shape[0], p.shape[1] + 1))
+    out[:, :-1] = a * p
+    out[:, 1:] += b * p
+    return out
 
-    Each point is predicted from the last accepted one,
-    s_prev + s'(g_prev)*(g - g_prev); a root farther from the prediction
-    than FAR_FACTOR predicted steps lies on another branch and is declined
-    (NO_BRACKET). An anchored walk (``cold`` false) starts Newton from the
-    prediction, the first point from the pin s = g, and stops after its
-    first failure. A cold walk starts every point from the pin, goes on
-    past failures and marks accepted points COLD.
 
-    Once following, the walk tries a jump of STRIDE grid points. The jump
-    is kept only where the stretch is smooth: the root lies within EASY
-    predicted steps, dx/dg and every denominator keep their signs, and x
-    is within EASY of its linear prediction. The points jumped over are
-    marked SKIPPED. Otherwise the window is walked point by point, so
-    folds, declines and sign changes are found on the grid's own cells.
-    Fills the output arrays in place and returns the number of points
-    walked.
+def real_roots(gs, u, t, w, y):
+    """Every real root of the coupling constraint at each g of a grid, tested.
+
+    Clearing the denominators d_j = 1 + u_j*g + t_j*s of the m atoms with
+    w*u != 0 turns phi(g, .) into (s - g)*prod_j d_j + y*g^2*sum_k
+    w_k*u_k*prod_{j != k} d_j, a polynomial of degree m + 1 in s. One batched
+    eigenvalue call on the companion matrices gives its roots at every grid
+    point. A root with |Im| <= ROOT_RTOL*(1 + |r|) is real; POLISH_STEPS
+    Newton steps on the rational phi then undo the loss of accuracy from
+    clearing, which is worst where two atoms' poles nearly coincide.
+
+    In a gap, g(x) and s(x) are real Stieltjes transforms of probability
+    measures: they increase, and by Cauchy-Schwarz g'(x) >= g^2 and
+    s'(x) >= s^2. A root is admissible, a boundary pair of a gap, when all
+    four hold at it: dx/dg > 0, s'(g) > 0, g^2*dx/dg <= 1 and
+    s'(g) >= s^2*dx/dg, the last within ROOT_RTOL relative (it turns into an
+    equality as x -> inf, below rounding when y*|g| is small).
+
+    Returns (s, x, dx_dg, admissible), arrays of shape (len(gs), m + 1): row
+    i holds grid point i's roots, with NaN in place of complex ones.
     """
-    n = u.shape[0]
-    m = len(order)
-    follow = False
-    g_prev = s_prev = ds_prev = x_prev = dx_prev = 0.0
-    i_prev = 0
-    step = 0.0
-    plain_to = 0  # positions before this one are walked point by point
-    p = 0
-    while p < m:
-        q = p + STRIDE - 1
-        jump = follow and p >= plain_to and p < q < m
-        i = order[q] if jump else order[p]
-        g = gs[i]
-        if follow:
-            step = ds_prev * (g - g_prev)
-            pred = s_prev + step
-        else:
-            pred = g
-        s, x, dx_dg, ds_dg, st = branch(g, u, t, w, y, g if cold else pred)
-        slack = DECLINE_SLACK * (1.0 + abs(s))
-        if jump:
-            dx_lin = dx_prev * (g - g_prev)
-            smooth = (
-                st == OK
-                and abs(s - pred) <= EASY * abs(step) + slack
-                and (dx_dg > 0.0) == (dx_prev > 0.0)
-                and abs(x - x_prev - dx_lin) <= EASY * abs(dx_lin)
-                and all((1.0 + u[k] * g + t[k] * s > 0.0) == (den[i_prev, k] > 0.0)
-                        for k in range(n))
-            )
-            if not smooth:
-                plain_to = q + 1
-                continue
-            for j in order[p:q]:
-                s_arr[j] = x_arr[j] = d_arr[j] = np.nan
-                den[j, :] = np.nan
-                status[j] = SKIPPED
-            p = q
-        elif follow and st == OK and abs(s - pred) > FAR_FACTOR * abs(step) + slack:
-            st = NO_BRACKET
-        follow = st == OK
-        if follow and cold:
-            st = COLD
-        s_arr[i] = s
-        x_arr[i] = x
-        d_arr[i] = dx_dg
-        status[i] = st
-        for k in range(n):
-            if follow:
-                den[i, k] = 1.0 + u[k] * g + t[k] * s
-            else:
-                den[i, k] = np.nan
-        p += 1
-        if not follow and not cold:
-            return p
-        g_prev = g
-        s_prev = s
-        ds_prev = ds_dg
-        x_prev = x
-        dx_prev = dx_dg
-        i_prev = i
-    return p
+    active = w * u != 0.0
+    # d_j = lin_j + t_j*s; build prod_j d_j and sum_k w_k*u_k*prod_{j != k} d_j
+    # one atom at a time
+    lin = 1.0 + np.outer(gs, u[active])
+    prod = np.ones((gs.shape[0], 1))
+    pole_sum = np.zeros((gs.shape[0], 0))
+    for j, (t_j, wu_j) in enumerate(zip(t[active], (w * u)[active])):
+        pole_sum = _times_linear(pole_sum, t_j, lin[:, j:j + 1]) + wu_j * prod
+        prod = _times_linear(prod, t_j, lin[:, j:j + 1])
+    g = gs[:, None]
+    coef = _times_linear(prod, 1.0, -g)
+    coef[:, 2:] += y * g * g * pole_sum
+    degree = coef.shape[1] - 1
+    companion = np.zeros((gs.shape[0], degree, degree))
+    companion[:, 0, :] = -coef[:, 1:] / coef[:, :1]
+    companion[:, range(1, degree), range(degree - 1)] = 1.0
+    r = np.linalg.eigvals(companion)
+    s = np.where(np.abs(r.imag) <= ROOT_RTOL * (1.0 + np.abs(r)), r.real, np.nan)
+    with np.errstate(all="ignore"):
+        for _ in range(POLISH_STEPS):
+            s = s - phi(g, s, u, t, w, y) / branch_terms(g, s, u, t, w, y)[3]
+        x, dx_dg, s_prime, _phi_s = branch_terms(g, s, u, t, w, y)
+        admissible = (
+            (dx_dg > 0.0)
+            & (s_prime > 0.0)
+            & (dx_dg <= 1.0 / (g * g))
+            & (s * s * dx_dg <= (1.0 + ROOT_RTOL) * s_prime)
+        )
+    return s, x, dx_dg, admissible
 
 
 def sweep(gs, u, t, w, y):
-    """Real-branch evaluation over a parameter grid, following the branch.
+    """The admissible root of the coupling constraint at each g of a grid.
 
-    Each sign's points are covered by three walks (``_walk``). A point is
-    solved once or, inside a smooth stretch, jumped over and marked
-    SKIPPED. Two walks are anchored where the pin s = g reaches the branch
-    and stop at their first fold: outward from the point nearest g = 0,
-    where the branch is s = g, and inward from the point farthest from 0.
-    There every denominator 1 + u*g + t*s has the sign of g at s = g, so
-    phi(g, .) is concave (g < 0) or convex (g > 0) on the pin's pole-free
-    interval, and Newton from the pin moves monotonically to the nearest
-    root; on g < 0 that root carries the lowest gap. The
-    points between the two folds are walked cold. A root found there may
-    lie on another branch, so it is marked COLD, and ``find_gaps`` checks
-    such runs against the boundary pair before it uses them.
+    A grid point is OK when ``real_roots`` admits a root there and every
+    admitted root has the same x to ROOT_RTOL relative (copies of one root,
+    left where two atoms' poles nearly coincide); the first of them is
+    returned. Every other point is NO_BRACKET.
 
     Returns (s, x, dx_dg, status, den) arrays; den[i, k] is atom k's
-    denominator 1 + u*g + t*s at grid point i. A skipped point has NaN in
-    every array but status, and a failed one NaN in den.
+    denominator 1 + u*g + t*s at grid point i. A NO_BRACKET point has NaN in
+    every array but status.
     """
-    m = gs.shape[0]
-    n = u.shape[0]
-    s_arr = np.empty(m)
-    x_arr = np.empty(m)
-    d_arr = np.empty(m)
-    status = np.empty(m, np.int64)
-    den = np.empty((m, n))
-    g_list = gs.tolist()
-    order = np.argsort(np.abs(gs), kind="stable").tolist()
-    out = (g_list, u, t, w, y, s_arr, x_arr, d_arr, status, den)
-    for side in ([i for i in order if g_list[i] < 0.0], [i for i in order if g_list[i] > 0.0]):
-        k = _walk(side, *out, False)
-        rest = side[k:]
-        j = _walk(rest[::-1], *out, False)
-        _walk(rest[: len(rest) - j], *out, True)
-    return s_arr, x_arr, d_arr, status, den
+    s, x, dx_dg, admissible = real_roots(gs, u, t, w, y)
+    x_lo = np.where(admissible, x, np.inf).min(axis=1)
+    x_hi = np.where(admissible, x, -np.inf).max(axis=1)
+    ok = admissible.any(axis=1) & (x_hi - x_lo <= ROOT_RTOL * np.abs(x_lo))
+    rows = np.arange(gs.shape[0])
+    first = np.argmax(admissible, axis=1)
+    s, x, dx_dg = (np.where(ok, a[rows, first], np.nan) for a in (s, x, dx_dg))
+    den = 1.0 + gs[:, None] * u + s[:, None] * t
+    return s, x, dx_dg, np.where(ok, OK, NO_BRACKET), den

@@ -2,31 +2,27 @@
 
 Outside the support, the solution triple (g, s(g), x(g)) moves along a real
 branch where x is the inverse map of the transform pair. Points with
-dx/dg > 0 lie in the complement of the support; stationary points of x are
-support edges. Gaps are found by sweeping g, grouping dx/dg > 0 runs with
-a consistent atom-denominator sign pattern, and refining run boundaries.
+dx/dg > 0 on that branch lie in the complement of the support; stationary
+points of x are support edges. Gaps are found by sweeping g, grouping runs
+of admissible points with a consistent atom-denominator sign pattern, and
+refining run boundaries.
 
-The sweep (``_kernels.sweep``) follows the branch from both ends of each
-side's grid: outward from g -> 0, where s = g, and inward from the far end,
-where Newton from s = g reaches the branch monotonically. Each solved point
-is predicted from the last one by the tangent s'(g) and corrected by
-Newton, and a root far from the prediction lies on another branch and is
-declined. On smooth stretches the sweep solves every STRIDE-th point and
-marks the others SKIPPED; ``find_gaps`` drops those, and since every fold,
-decline and sign change is walked point by point, the runs and their
-bracketing cells are those of the full grid. Points between the folds
-where both walks stop are solved cold from s = g and marked COLD; a run of
-them counts as a gap only when the boundary pair at its middle point
-equals its (s, g). Run boundaries are refined by Brent's method on dx/dg
-(``_brent``, a port of scipy's brentq, so the package needs numpy alone),
-each evaluation seeded on the chord of the sweep's s across the bracketing
-cell, so the refinement stays on the same branch. A run whose grid
-neighbour failed (a fold within one cell) is first bisected toward it
-from its end's tangent, down to a point with dx/dg <= 0 for Brent or to
-the fold itself. Each reported gap is then checked once against
+The sweep (``_kernels.sweep``) takes every real root of the coupling
+constraint at each grid point and keeps the admissible one: in a gap, g(x)
+and s(x) are real Stieltjes transforms, so dx/dg > 0, s'(g) > 0 and the
+Cauchy-Schwarz bounds g'(x) >= g^2 and s'(x) >= s^2 hold there. Which root
+Newton would reach from some start plays no part. Each interior run end is
+refined against its grid neighbour. If the neighbour's real root nearest the
+run end's tangent keeps the run's denominator signs and has dx/dg <= 0, the
+cell brackets the edge, and Brent's method on dx/dg refines it (``_brent``,
+a port of scipy's brentq, so the package needs numpy alone), each
+evaluation seeded on the chord across the cell so it stays on the run's
+root. Otherwise the cell holds a fold, and bisection on admissibility
+closes on the edge. Each reported gap is then checked once against
 ``boundary_value`` at its midpoint; a pair that is not real there raises
-NotInGapError. That check catches only a reported gap whose midpoint lies
-in the support: it cannot see a wrong edge of a gap whose midpoint is
+NotInGapError. The four tests are necessary conditions, measured but not
+proved sufficient, and the check catches only a reported gap whose midpoint
+lies in the support: it cannot see a wrong edge of a gap whose midpoint is
 right, nor a gap that was not reported.
 """
 
@@ -60,9 +56,6 @@ FOLD_RTOL = 1e-12
 GAP_IMAG_TOL = 1e-6
 # Unbounded gaps (a, inf) are sampled on (a, a + UNBOUNDED_SPAN).
 UNBOUNDED_SPAN = 10.0
-# A sweep point lies on the branch when the boundary pair at its x matches
-# its (s, g) to this relative tolerance.
-BRANCH_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -130,8 +123,9 @@ def solve_s_given_g(g: float, cfg: ModelConfig) -> float:
     solve from that pin, inside its pole-free interval; it raises
     BracketError when Newton leaves the interval or stalls (past a fold of
     the branch), or when |phi| at the root exceeds ROOT_RESIDUAL_TOL.
-    ``find_gaps`` instead follows the branch from both ends of its grid,
-    which a cold solve far from the pin does not guarantee.
+    Far from the pin the root Newton reaches need not be the boundary
+    value; ``find_gaps`` instead takes every real root and keeps the
+    admissible one.
     """
     if g == 0.0:
         raise ValueError("the real branch is parametrized by g != 0")
@@ -170,11 +164,11 @@ def _log_grid(lo_abs: float, hi_abs: float, n: int, sign: float) -> np.ndarray:
 
 
 def _seeded_branch(g, cell, u, t, w, y):
-    """Branch point at g inside a swept cell, seeded on the sweep's chord.
+    """Branch point at g inside a refined cell, seeded on the cell's chord.
 
-    cell = (g0, s0, g1, s1) holds two accepted sweep points; Newton starts
-    from the chord through them, so it stays on the branch the sweep
-    followed (a cold start from s = g can reach another real root).
+    cell = (g0, s0, g1, s1) holds a run end and its neighbour's root on the
+    same branch; Newton starts from the chord through them, so it stays on
+    that branch (a cold start from s = g can reach another real root).
     Returns (x, dx_dg).
     """
     g0, s0, g1, s1 = cell
@@ -270,55 +264,39 @@ def _refine_stationary(cell, u, t, w, y):
     return g_star, float(_seeded_branch(g_star, cell, u, t, w, y)[0])
 
 
-def _refine_toward_failure(g_end, s_end, g_fail, u, t, w, y):
-    """Edge of a run whose grid neighbour g_fail has no point on the branch.
+def _refine_edge(g_end, s_end, g_next, u, t, w, y):
+    """Edge between the run end g_end and its grid neighbour g_next outside the run.
 
-    Bisects from the run end g_end (dx/dg > 0) toward g_fail, each
-    evaluation seeded on the run end's tangent s_end + s'(g_end)*(g - g_end).
-    A point with a root far from that seed (FAR_FACTOR, as in the sweep) or
-    with another denominator sign pattern counts as failed. The first point
-    reached with dx/dg <= 0 brackets the edge with the last point with
-    dx/dg > 0, and Brent refines it; otherwise the bisection closes on the
-    fold (or on g_fail, if no point before it fails) to FOLD_RTOL relative
-    and returns its last point with dx/dg > 0. Returns (g, x).
+    If the real root at g_next nearest the run end's tangent
+    s_end + s'(g_end)*(g_next - g_end) keeps the run end's denominator signs
+    and has dx/dg <= 0, the cell brackets a stationary point of x and Brent
+    refines it. Otherwise the cell holds a fold: bisection on admissibility,
+    with the run end's denominator signs, closes on it to FOLD_RTOL relative
+    in g and returns its last admissible point. Returns (g, x).
     """
-    s_end, x_end, _dx, ds_end, status = K.branch(float(g_end), u, t, w, y, float(s_end))
-    if status != K.OK:
-        raise CoarseGridError(
-            f"branch evaluation failed at g={g_end} while refining; raise n_grid"
-        )
     signs = 1.0 + u * g_end + t * s_end > 0.0
-    lo, s_lo, x_lo, hi = float(g_end), s_end, x_end, float(g_fail)
+
+    def roots_on_run(g):
+        # the real roots at g and which of them keep the run end's signs
+        s, x, dx, admissible = (a[0] for a in K.real_roots(np.array([g]), u, t, w, y))
+        return s, x, dx, admissible, np.all((1.0 + u * g + t * s[:, None] > 0.0) == signs, axis=1)
+
+    x_end, _dx, ds_end, _phi_s = K.branch_terms(g_end, s_end, u, t, w, y)
+    s, _x, dx, _admissible, same = roots_on_run(g_next)
+    if np.any(np.isfinite(s)):
+        j = np.nanargmin(np.abs(s - (s_end + ds_end * (g_next - g_end))))
+        if same[j] and dx[j] <= 0.0:
+            return _refine_stationary((g_end, s_end, g_next, s[j]), u, t, w, y)
+    lo, x_lo, hi = float(g_end), float(x_end), float(g_next)
     while abs(hi - lo) > FOLD_RTOL * abs(lo):
         g = 0.5 * (lo + hi)
-        step = ds_end * (g - g_end)
-        seed = s_end + step
-        s, x, dx_dg, _ds, status = K.branch(g, u, t, w, y, seed)
-        if (
-            status != K.OK
-            or abs(s - seed) > K.FAR_FACTOR * abs(step) + K.DECLINE_SLACK * (1.0 + abs(s))
-            or np.any((1.0 + u * g + t * s > 0.0) != signs)
-        ):
-            hi = g
-        elif dx_dg > 0.0:
-            lo, s_lo, x_lo = g, s, x
+        _s, x, _dx, admissible, same = roots_on_run(g)
+        inside = admissible & same
+        if np.any(inside):
+            lo, x_lo = g, float(x[np.argmax(inside)])
         else:
-            return _refine_stationary((lo, s_lo, g, s), u, t, w, y)
+            hi = g
     return lo, x_lo
-
-
-def _on_branch(g, s, x, cfg: ModelConfig) -> bool:
-    """Whether the sweep point (g, s) at x is the boundary pair there.
-
-    A run of COLD points follows one real root from a cold start; it lies
-    on the branch, and so is a gap, exactly when one of its points does.
-    """
-    pair = boundary_value(float(x), cfg)
-    return (
-        abs(pair.s_under.imag) < GAP_IMAG_TOL
-        and abs(pair.g_under - g) <= BRANCH_MATCH_TOL * (1.0 + abs(g))
-        and abs(pair.s_under - s) <= BRANCH_MATCH_TOL * (1.0 + abs(s))
-    )
 
 
 def _check_gap(gap: SpectralGap, cfg: ModelConfig) -> None:
@@ -341,18 +319,17 @@ def find_gaps(
     """All support gaps on the positive axis, sorted by lower endpoint.
 
     Sweeps g over log-spaced grids on (g_lo, 0) and (0, g_hi), keeps
-    maximal runs where dx/dg > 0 with a per-atom constant denominator
-    sign, refines finite run boundaries to stationary points of x (or to
-    the fold of the branch, FOLD_RTOL relative in g, where one cuts the
-    run short), clamps the gap reached as g -> -inf to a = 0 (y < 1), and maps the run ending
-    at g -> 0- to the unbounded gap (sup of support, +inf). A run of COLD
-    sweep points (between two folds, reached by a cold start) is kept only
-    when the boundary pair at its middle point matches its (s, g) within
-    BRANCH_MATCH_TOL. Raises NotInGapError when the boundary pair at a
-    reported gap's midpoint (at a + UNBOUNDED_SPAN/2 for the unbounded gap)
-    has |Im s| >= GAP_IMAG_TOL. That last check only catches a gap whose
-    midpoint lies in the support; it does not catch a wrong edge of a gap
-    whose midpoint is right, or a gap that was not reported.
+    maximal runs of grid points with an admissible root (``K.sweep``) and a
+    per-atom constant denominator sign, refines each interior run boundary
+    (``_refine_edge``) to a stationary point of x or, where a fold cuts the
+    run short, to the end of admissibility (FOLD_RTOL relative in g),
+    clamps the gap reached as g -> -inf to a = 0 (y < 1), and maps the run
+    ending at g -> 0- to the unbounded gap (sup of support, +inf). Raises
+    NotInGapError when the boundary pair at a reported gap's midpoint (at
+    a + UNBOUNDED_SPAN/2 for the unbounded gap) has |Im s| >= GAP_IMAG_TOL.
+    That last check only catches a gap whose midpoint lies in the support;
+    it does not catch a wrong edge of a gap whose midpoint is right, or a
+    gap that was not reported.
     """
     if n_grid < 100:
         raise ValueError(f"n_grid must be >= 100, got {n_grid}")
@@ -364,14 +341,8 @@ def find_gaps(
     gaps: list[SpectralGap] = []
     for sign, bound in ((-1.0, abs(g_lo)), (1.0, abs(g_hi))):
         gs = _log_grid(DEFAULT_G_INNER, bound, n_grid, sign)
-        s_arr, x_arr, dx_arr, status, den = K.sweep(gs, u, t, w, y)
-        # a skipped point lies between two solved ones of the same kind
-        keep = status != K.SKIPPED
-        gs, s_arr, x_arr, dx_arr, status, den = (
-            a[keep] for a in (gs, s_arr, x_arr, dx_arr, status, den)
-        )
-        reached = ((status == K.OK) | (status == K.COLD)).tolist()
-        good = [r and d > 0.0 for r, d in zip(reached, dx_arr.tolist())]
+        s_arr, x_arr, _dx, status, den = K.sweep(gs, u, t, w, y)
+        good = (status == K.OK).tolist()
         # same_signs[i]: points i and i + 1 share every atom's denominator sign
         same_signs = np.all(np.sign(den[1:]) == np.sign(den[:-1]), axis=1).tolist()
 
@@ -389,31 +360,18 @@ def find_gaps(
         for i0, i1 in runs:
             if i1 - i0 < 1:
                 continue
-            mid = (i0 + i1) // 2
-            if status[i0] == K.COLD and not _on_branch(gs[mid], s_arr[mid], x_arr[mid], cfg):
-                continue
             at_lower_boundary = i0 == 0
             at_upper_boundary = i1 == len(gs) - 1
 
             if at_lower_boundary:
                 g_a, a = gs[i0], x_arr[i0]
-            elif reached[i0 - 1] and dx_arr[i0 - 1] <= 0.0 and same_signs[i0 - 1]:
-                cell = (gs[i0], s_arr[i0], gs[i0 - 1], s_arr[i0 - 1])
-                g_a, a = _refine_stationary(cell, u, t, w, y)
-            elif not reached[i0 - 1]:
-                g_a, a = _refine_toward_failure(gs[i0], s_arr[i0], gs[i0 - 1], u, t, w, y)
             else:
-                g_a, a = gs[i0], x_arr[i0]
+                g_a, a = _refine_edge(gs[i0], s_arr[i0], gs[i0 - 1], u, t, w, y)
 
             if at_upper_boundary:
                 g_b, b = gs[i1], x_arr[i1]
-            elif reached[i1 + 1] and dx_arr[i1 + 1] <= 0.0 and same_signs[i1]:
-                cell = (gs[i1], s_arr[i1], gs[i1 + 1], s_arr[i1 + 1])
-                g_b, b = _refine_stationary(cell, u, t, w, y)
-            elif not reached[i1 + 1]:
-                g_b, b = _refine_toward_failure(gs[i1], s_arr[i1], gs[i1 + 1], u, t, w, y)
             else:
-                g_b, b = gs[i1], x_arr[i1]
+                g_b, b = _refine_edge(gs[i1], s_arr[i1], gs[i1 + 1], u, t, w, y)
 
             if sign < 0 and at_lower_boundary and y < 1.0 and 0.0 < a:
                 # branch runs out to g -> -inf where x -> 0+; no mass at zero

@@ -110,6 +110,53 @@ def two_atom_x_of_g(g: float, y: float) -> float:
     return -1.0 / g + y * (0.5 / (1.0 + s) + 0.5 / (1.0 + 8.0 * g + s))
 
 
+def two_atom_dx_dg(g: float, y: float) -> float:
+    """Closed-form dx/dg on the branch of two_atom_s_of_g, by implicit
+    differentiation of (s - g)*(1 + 8g + s) + 4*y*g^2 = 0."""
+    s = two_atom_s_of_g(g, y)
+    ds = (1.0 + 16.0 * g - 7.0 * s - 8.0 * y * g) / (1.0 + 7.0 * g + 2.0 * s)
+    return 1.0 / g**2 - y * (0.5 * ds / (1.0 + s) ** 2 + 0.5 * (8.0 + ds) / (1.0 + 8.0 * g + s) ** 2)
+
+
+def scan_gaps(imag_s, x_max: float, n_scan: int, tol: float) -> list[tuple[float, float]]:
+    """Support gaps from a scan of a boundary value's imaginary part.
+
+    imag_s(x) is |Im s| at x on the real axis. The gaps are the maximal runs
+    of the n_scan points of (0, x_max] with imag_s < tol; each edge between
+    two scan points is bisected on that test to 1e-13 relative. A run from
+    the first point starts at 0 and one through x_max runs to inf, so the
+    scan resolves features wider than x_max/n_scan only.
+    """
+    xs = np.linspace(x_max / n_scan, x_max, n_scan)
+    real = [imag_s(float(x)) < tol for x in xs]
+
+    def bisect(inside, outside):
+        for _ in range(200):
+            if abs(outside - inside) <= 1e-13 * abs(inside):
+                break
+            mid = 0.5 * (inside + outside)
+            if imag_s(mid) < tol:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    gaps = []
+    i = 0
+    while i < n_scan:
+        if not real[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n_scan and real[j + 1]:
+            j += 1
+        a = 0.0 if i == 0 else bisect(float(xs[i]), float(xs[i - 1]))
+        b = math.inf if j == n_scan - 1 else bisect(float(xs[j]), float(xs[j + 1]))
+        gaps.append((a, b))
+        i = j + 1
+    return gaps
+
+
 def two_atom_gap_sweep(y: float, n_grid: int = 2_000_000) -> list[tuple[float, float]]:
     """Brute-force finite gaps of the two-atom model from a dense g-scan.
 

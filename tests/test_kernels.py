@@ -7,12 +7,13 @@ from specsep import JointSpectrum, ModelConfig, boundary_value, find_gaps, x_of_
 from specsep.spectrum import spectrum_arrays
 from specsep.support import DEFAULT_G_BOUND, DEFAULT_G_INNER, DEFAULT_N_GRID
 
-from oracles import two_atom_s_of_g
+from oracles import two_atom_dx_dg, two_atom_s_of_g
+from test_support import DECLINE_MODELS, GAP_MODELS, INWARD_WALK_MODELS
 
 
 def test_status_codes_are_distinct():
-    codes = {K.OK, K.NO_CONVERGE, K.POLE, K.NO_BRACKET, K.SINGULAR, K.COLD, K.SKIPPED}
-    assert len(codes) == 7
+    codes = {K.OK, K.NO_CONVERGE, K.POLE, K.NO_BRACKET, K.SINGULAR}
+    assert len(codes) == 5
 
 
 def _count_calls(monkeypatch, names):
@@ -36,17 +37,24 @@ def test_nested_kernel_calls_go_through_module_globals(two_atom_config, monkeypa
     gs = -np.geomspace(0.05, 0.5, 7)
     plain = K.sweep(gs, u, t, w, y)
 
-    calls = _count_calls(monkeypatch, ("phi", "branch"))
+    names = ("real_roots", "phi", "branch_terms", "branch", "solve_s")
+    calls = _count_calls(monkeypatch, names)
     wrapped = K.sweep(gs, u, t, w, y)
-    assert calls["branch"] == len(gs)
-    assert calls["phi"] >= len(gs)
+    # one vectorised pass: no point is solved by scalar Newton
+    assert calls == {
+        "real_roots": 1,
+        "phi": K.POLISH_STEPS,
+        "branch_terms": K.POLISH_STEPS + 1,
+        "branch": 0,
+        "solve_s": 0,
+    }
     for a, b in zip(plain, wrapped):
         np.testing.assert_array_equal(a, b)
 
-    calls["phi"] = calls["branch"] = 0
+    calls.update(dict.fromkeys(names, 0))
     point = x_of_g(-0.3, two_atom_config)
-    assert calls["branch"] == 1
-    assert calls["phi"] >= 1
+    assert calls["branch"] == calls["solve_s"] == calls["branch_terms"] == 1
+    assert calls["phi"] >= 1 and calls["real_roots"] == 0
     assert np.isfinite(point.x)
 
 
@@ -54,48 +62,28 @@ def _grid(sign):
     return np.sort(sign * np.geomspace(DEFAULT_G_INNER, DEFAULT_G_BOUND, DEFAULT_N_GRID))
 
 
-def _assert_skips_lie_inside_smooth_stretches(status, d, den):
-    # a jump spans one walk's accepted points, so every SKIPPED run sits
-    # between two solved points of one status, one sign of dx/dg and one
-    # denominator sign pattern: a fold, a decline, a COLD boundary or a
-    # sign change is found on the grid's own cells
-    skipped = status == K.SKIPPED
-    assert not skipped[0] and not skipped[-1]
-    edges = np.flatnonzero(np.diff(skipped.astype(np.int8)))
-    for first, last in zip(edges[::2] + 1, edges[1::2]):
-        before, after = first - 1, last + 1
-        assert status[before] == status[after]
-        assert status[before] in (K.OK, K.COLD)
-        assert (d[before] > 0.0) == (d[after] > 0.0)
-        np.testing.assert_array_equal(den[before] > 0.0, den[after] > 0.0)
+def _closed_form_dx_dg(g, y):
+    try:
+        return two_atom_dx_dg(g, y)
+    except ValueError:  # no real root: inside the support
+        return np.nan
 
 
-def test_sweep_points_match_closed_form_branch(two_atom_config, monkeypatch):
+def test_sweep_points_match_closed_form_branch(two_atom_config):
     u, t, w = spectrum_arrays(two_atom_config.spectrum)
     y = two_atom_config.y
-    for stride in (1, K.STRIDE):
-        monkeypatch.setattr(K, "STRIDE", stride)
-        for sign in (-1.0, 1.0):
-            gs = _grid(sign)
-            s, _x, d, status, den = K.sweep(gs, u, t, w, y)
-            ok = status == K.OK
-            skipped = status == K.SKIPPED
-            assert np.any(skipped) == (stride > 1)
-            # only the points inside the support (no real root there) fail
-            assert np.count_nonzero(ok | skipped) >= len(gs) - 60
-            _assert_skips_lie_inside_smooth_stretches(status, d, den)
-            ref = np.array([two_atom_s_of_g(g, y) for g in gs[ok]])
-            np.testing.assert_allclose(s[ok], ref, rtol=1e-12, atol=0.0)
-
-
-def test_strided_sweep_solves_at_most_a_quarter_of_the_points(two_atom_config, monkeypatch):
-    u, t, w = spectrum_arrays(two_atom_config.spectrum)
-    calls = _count_calls(monkeypatch, ("branch",))
     for sign in (-1.0, 1.0):
-        calls["branch"] = 0
-        status = K.sweep(_grid(sign), u, t, w, two_atom_config.y)[3]
-        assert calls["branch"] <= DEFAULT_N_GRID // 4
-        assert np.count_nonzero(status == K.SKIPPED) >= DEFAULT_N_GRID * 3 // 4
+        gs = _grid(sign)
+        s, _x, d, status, _den = K.sweep(gs, u, t, w, y)
+        ok = status == K.OK
+        # the admissible points are exactly those where the branch through
+        # s = g has dx/dg > 0; only points inside the support fail
+        closed = np.array([_closed_form_dx_dg(g, y) for g in gs])
+        np.testing.assert_array_equal(ok, closed > 0.0)
+        assert np.count_nonzero(ok) >= len(gs) - 150
+        ref = np.array([two_atom_s_of_g(g, y) for g in gs[ok]])
+        np.testing.assert_allclose(s[ok], ref, rtol=1e-12, atol=0.0)
+        assert np.all(d[ok] > 0.0) and np.all(np.isnan(s[~ok]))
 
 
 def test_find_gaps_makes_few_phi_calls_per_sweep_point(two_atom_config, monkeypatch):
@@ -114,25 +102,21 @@ def test_find_gaps_makes_few_phi_calls_per_sweep_point(two_atom_config, monkeypa
 
 
 def test_signal_free_sweep_costs_one_phi_call_per_point(mp_config, monkeypatch):
-    # u = 0: phi(g, s) = s - g, the predictor lands on s = g exactly, also
-    # across a jump (g and the point it jumps from are within a factor 2)
+    # u = 0: phi(g, s) = s - g, the only root is s = g exactly and the
+    # polish leaves it there; each polish step is one vectorised phi call,
+    # so every point costs one phi evaluation per step
     u, t, w = spectrum_arrays(mp_config.spectrum)
+    y = mp_config.y
     gs = _grid(-1.0)
     calls = _count_calls(monkeypatch, ("phi", "branch"))
-    for stride in (1, K.STRIDE):
-        monkeypatch.setattr(K, "STRIDE", stride)
-        calls["phi"] = calls["branch"] = 0
-        s, _x, d, status, den = K.sweep(gs, u, t, w, mp_config.y)
-        solved = status != K.SKIPPED
-        assert calls["phi"] == calls["branch"]
-        if stride == 1:
-            assert calls["branch"] == len(gs)
-            assert np.all(solved)
-        else:
-            assert calls["branch"] <= len(gs) // 4
-        assert np.all(status[solved] == K.OK)
-        _assert_skips_lie_inside_smooth_stretches(status, d, den)
-        np.testing.assert_array_equal(s[solved], gs[solved])
+    s, _x, d, status, _den = K.sweep(gs, u, t, w, y)
+    assert calls == {"phi": K.POLISH_STEPS, "branch": 0}
+    ok = status == K.OK
+    # the closed-form dx/dg on s = g
+    np.testing.assert_array_equal(ok, 1.0 / gs**2 - y / (1.0 + gs) ** 2 > 0.0)
+    assert np.all(status[~ok] == K.NO_BRACKET)
+    np.testing.assert_array_equal(s[ok], gs[ok])
+    assert np.all(d[ok] > 0.0)
 
 
 def _is_boundary_pair(g, s, x, cfg):
@@ -144,50 +128,56 @@ def _is_boundary_pair(g, s, x, cfg):
     )
 
 
-def test_sweep_anchors_both_ends_and_marks_points_between_folds_cold(monkeypatch):
-    # past the fold at g ~ -0.172 Newton converges to roots of other
-    # branches; walking on from them used to follow a root with s -> +inf
-    # out to g = -1e4 and lose the lowest gap
+def test_sweep_admits_only_boundary_pairs_on_the_decline_model():
+    # past the fold at g ~ -0.172 Newton from s = g converges to roots of
+    # other branches with dx/dg > 0; walking on from them used to follow a
+    # root with s -> +inf out to g = -1e4 and lose the lowest gap
     cfg = ModelConfig(
         JointSpectrum.from_atoms([(8.045, 0.927, 0.5), (3.166, 1.6, 0.5)]), 0.7686733024976289
     )
     u, t, w = spectrum_arrays(cfg.spectrum)
     gs = _grid(-1.0)
-    returned = {}
-    real = K.branch
+    s, x, _d, status, _den = K.sweep(gs, u, t, w, cfg.y)
 
-    def recording(g, *args):
-        result = real(g, *args)
-        returned[g] = result[4]
-        return result
-
-    monkeypatch.setattr(K, "branch", recording)
-    s, x, d, status, den = K.sweep(gs, u, t, w, cfg.y)
-    # every point is solved or jumped over inside a smooth stretch
-    assert set(gs[status != K.SKIPPED].tolist()) <= set(returned)
-    _assert_skips_lie_inside_smooth_stretches(status, d, den)
-
-    # a root Newton reached far from its prediction is declined
-    declined = [
-        g for g, st in zip(gs.tolist(), status.tolist())
-        if st == K.NO_BRACKET and returned[g] == K.OK
-    ]
-    assert declined
-
-    # the anchored walks hold both ends; the far end is the lowest gap
+    # both ends hold the branch; the far end is the lowest gap
     assert status[0] == K.OK and status[-1] == K.OK
     assert 0.0 < s[0] / gs[0] < 1.0 and 0.0 < x[0] < 1e-3
-    ok = np.flatnonzero(status == K.OK)
-    cold = np.flatnonzero(status == K.COLD)
-    assert cold.size and ok[ok < cold.min()].size and ok[ok > cold.max()].size
-    assert not np.any((status[cold.min() : cold.max()] == K.OK))
 
-    # anchored points with dx/dg > 0 are the boundary pair at their x; the
-    # cold ones on this model lie on other branches
-    ok_gap = ok[(d[ok] > 0.0) & (x[ok] < 1e3)]
-    for i in ok_gap[:: len(ok_gap) // 20]:
+    # admitted points are the boundary pair at their x
+    ok = np.flatnonzero((status == K.OK) & (x < 1e3))
+    for i in ok[:: len(ok) // 20]:
         assert _is_boundary_pair(gs[i], s[i], x[i], cfg), gs[i]
-    cold_gap = cold[(d[cold] > 0.0) & (x[cold] > 0.0)]
-    assert cold_gap.size
-    for i in cold_gap[:: max(1, len(cold_gap) // 20)]:
-        assert not _is_boundary_pair(gs[i], s[i], x[i], cfg), gs[i]
+
+    # roots with dx/dg > 0 that the other tests refuse lie on other branches
+    roots, rx, rd, admissible = K.real_roots(gs, u, t, w, cfg.y)
+    refused = np.argwhere((rd > 0.0) & ~admissible & (rx > 0.0) & (rx < 1e3))
+    assert len(refused) > 20
+    for i, j in refused[:: len(refused) // 20]:
+        assert not _is_boundary_pair(gs[i], roots[i, j], rx[i, j], cfg), gs[i]
+
+
+CORPUS = [
+    *((name, atoms, y) for name, (atoms, y, _n) in GAP_MODELS.items()),
+    *((f"decline-{k}", atoms, y) for k, (atoms, y, _n) in enumerate(DECLINE_MODELS, 1)),
+    *((name, atoms, y) for name, (atoms, y, _b0, _a1) in INWARD_WALK_MODELS.items()),
+]
+
+
+def test_admissible_roots_are_unique_and_are_boundary_pairs():
+    # the four tests are necessary conditions for a boundary pair in a gap;
+    # on the regression corpus they admit at most one root per g (copies of
+    # one root agree in x), and sampled admitted roots are the boundary pair
+    for name, atoms, y in CORPUS:
+        cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
+        u, t, w = spectrum_arrays(cfg.spectrum)
+        gs = np.concatenate([_grid(-1.0), _grid(1.0)])
+        s, x, _d, admissible = K.real_roots(gs, u, t, w, y)
+        xs = np.where(admissible, x, np.nan)
+        multi = np.count_nonzero(admissible, axis=1) > 1
+        spread = np.nanmax(xs[multi], axis=1) - np.nanmin(xs[multi], axis=1)
+        assert np.all(spread <= K.ROOT_RTOL * np.nanmin(np.abs(xs[multi]), axis=1)), name
+
+        i_adm, j_adm = np.nonzero(admissible & (np.abs(x) < 1e3))
+        for k in range(0, len(i_adm), len(i_adm) // 20):
+            i, j = i_adm[k], j_adm[k]
+            assert _is_boundary_pair(gs[i], s[i, j], x[i, j], cfg), (name, gs[i])

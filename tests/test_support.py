@@ -12,7 +12,6 @@ from specsep import (
     JointSpectrum,
     ModelConfig,
     NotInGapError,
-    SpecsepError,
     StieltjesPair,
     boundary_value,
     density,
@@ -33,6 +32,7 @@ from oracles import (
     mp_edges,
     mp_x_of_g,
     scan_bisect_root,
+    scan_gaps,
     two_atom_gap_sweep,
     two_atom_s_of_g,
 )
@@ -62,13 +62,35 @@ GAP_MODELS = {
     # reported as the single gap (0, inf), which the midpoint check
     # refused; the gaps are (0, 2.2808), (3.9642, 4.4645), (10.954, inf)
     "single-gap": ([(3.0, 0.33, 0.41), (5.0, 2.35, 0.333), (6.0, 0.49, 0.257)], 0.212, 3),
+    # Newton from s = g missed the branch root for g in (-1.5366, -1.4590), so
+    # the middle gap's lower edge moved with the grid (0.858828 at 2000
+    # points); boundary_value is real from 0.85515 up
+    "defect-D": (
+        [
+            (3.0838808415432375, 0.6675315519193086, 1 / 3),
+            (6.709045477434573, 1.8880354911835378, 1 / 3),
+            (0.08818742016847736, 0.4884449763141761, 1 / 3),
+        ],
+        0.6842643347141988,
+        3,
+    ),
+    # the cold walk missed the branch for g in (-0.336, -0.273) at every grid
+    # from 2000 to 32000 points, and with it the gap (3.0836, 3.1939)
+    "defect-E": (
+        [
+            (1.282596437778598, 1.979277911891984, 0.20025886205323612),
+            (7.823281951737205, 1.2718246764687715, 0.7997411379467639),
+        ],
+        0.852322833894462,
+        3,
+    ),
 }
 
-# Random models on which the sweep declines a root far from its prediction,
-# run on the default grid and on a coarse one. Before the walk inward from
-# g = -1e4, the cold restarts after the fold followed another root out to
-# g = -1e4 (s -> +inf), and find_gaps reported (0, inf) or (0, b) with b in
-# the support. (atoms, y, number of gaps); the gap counts agree with a scan
+# Random models on which the old branch walk declined a root far from its
+# prediction, run on the default grid and on a coarse one. Before that walk
+# went inward from g = -1e4, its cold restarts after the fold followed
+# another root out to g = -1e4 (s -> +inf), and find_gaps reported (0, inf)
+# or (0, b) with b in the support. (atoms, y, number of gaps); the gap counts agree with a scan
 # of boundary_value on 3,000 points of (0, 20).
 DECLINE_MODELS = [
     ([(2.61, 1.545, 1 / 3), (2.489, 2.859, 1 / 3), (0.71, 1.667, 1 / 3)], 0.16354980189295273, 2),
@@ -77,8 +99,8 @@ DECLINE_MODELS = [
     ([(7.532, 2.52, 1 / 3), (0.0, 1.232, 1 / 3), (4.452, 1.38, 1 / 3)], 0.6086039933906717, 3),
 ]
 
-# At the default grid the inward walk leaves the branch on these models; see
-# test_inward_walk_keeps_the_branch_past_the_lowest_edge.
+# At the default grid the inward walk of the old branch walk left the branch
+# on these models; see test_inward_walk_keeps_the_branch_past_the_lowest_edge.
 # name: (atoms, y, lowest gap's upper edge, top gap's lower edge)
 INWARD_WALK_MODELS = {
     "two-atom-1": (
@@ -309,23 +331,48 @@ class TestFindGaps:
         assert gaps[1].b == pytest.approx(7.28415976954, abs=1e-9)
         assert gaps[2].a == pytest.approx(10.9748208467, abs=1e-9)
 
-    def test_coarse_grid_edges_next_to_folds_match_the_default_grid(self):
-        # at 400 points per side the middle gap used to end at 4.860834 and
-        # the top gap to start at 9.091904, inside the true gaps
-        atoms, y, _n_gaps = DECLINE_MODELS[2]
+    @pytest.mark.parametrize(
+        "atoms, y, n_gaps",
+        [
+            # at 400 points per side the middle gap used to end at 4.860834
+            # and the top gap to start at 9.091904, inside the true gaps
+            pytest.param(*DECLINE_MODELS[2], id="decline-3"),
+            # the branch walk declined g = -0.12238, a point on the branch,
+            # and the third gap ended there at 8.725129 instead of 8.742652
+            pytest.param(
+                [
+                    (3.7375954542037046, 1.7045816947671408, 1 / 3),
+                    (9.796727231679853, 0.32242174847204014, 1 / 3),
+                    (0.0, 1.3396630191583954, 1 / 3),
+                ],
+                0.6341837804627607,
+                4,
+                id="seed-11",
+            ),
+        ],
+    )
+    def test_coarse_grid_edges_next_to_folds_match_the_default_grid(self, atoms, y, n_gaps):
         cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
         coarse = find_gaps(cfg, n_grid=400)
         fine = find_gaps(cfg)
-        assert len(coarse) == len(fine) == 3
+        assert len(coarse) == len(fine) == n_gaps
         for c, f in zip(coarse, fine):
             assert (c.a, c.b) == pytest.approx((f.a, f.b), rel=1e-12, abs=0.0)
 
-    @pytest.mark.xfail(
-        raises=NotInGapError,
-        strict=True,
-        reason="at the default grid the inward walk lands on another root past "
-        "the lowest edge without a decline and reports the single gap (0, inf)",
-    )
+    @pytest.mark.parametrize("name", ["defect-D", "defect-E"])
+    def test_gap_edges_match_the_scan_oracle(self, name):
+        # the scan sees the support only through boundary_value, never
+        # through the sweep; its 1,250 points resolve features wider than 0.02
+        atoms, y, n_gaps = GAP_MODELS[name]
+        cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
+        ref = scan_gaps(
+            lambda x: abs(boundary_value(x, cfg).s_under.imag), 25.0, 1250, GAP_IMAG_TOL
+        )
+        gaps = find_gaps(cfg)
+        assert len(ref) == len(gaps) == n_gaps
+        for gap, (a, b) in zip(gaps, ref):
+            assert (gap.a, gap.b) == pytest.approx((a, b), rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("name", list(INWARD_WALK_MODELS))
     def test_inward_walk_keeps_the_branch_past_the_lowest_edge(self, name):
         # n_grid 2000 and 8000 give these gaps (400 too); on two-atom-1 a
@@ -351,68 +398,6 @@ class TestFindGaps:
             find_gaps(mp_config)
         # the gap (0, 0.25) is checked first, at its midpoint
         assert calls == [0.125]
-
-
-def _random_models(seed, count, y_max):
-    """Random 1-3-atom models: u 0 (probability 0.3) or uniform on (0, 10),
-    t uniform on (0.2, 3), equal weights, y uniform on (0.02, y_max)."""
-    rng = np.random.default_rng(seed)
-    models = []
-    for _ in range(count):
-        k = int(rng.integers(1, 4))
-        atoms = [
-            (
-                0.0 if rng.random() < 0.3 else float(rng.uniform(0, 10)),
-                float(rng.uniform(0.2, 3.0)),
-                1.0 / k,
-            )
-            for _ in range(k)
-        ]
-        models.append((atoms, float(rng.uniform(0.02, y_max))))
-    return models
-
-
-def _gaps_or_error(cfg, n_grid):
-    try:
-        return [(g.a, g.b, g.g_a, g.g_b) for g in find_gaps(cfg, n_grid=n_grid)]
-    except SpecsepError as exc:
-        return type(exc).__name__
-
-
-STRIDE_MODELS = [
-    ([(0.0, 1.0, 1.0)], 0.25),
-    ([(0.0, 1.0, 0.5), (8.0, 1.0, 0.5)], 0.1),
-    *((atoms, y) for atoms, y, _n in GAP_MODELS.values()),
-    *((atoms, y) for atoms, y, _n in DECLINE_MODELS),
-    *((atoms, y) for atoms, y, _b0, _a1 in INWARD_WALK_MODELS.values()),
-]
-
-
-class TestStridedSweep:
-    """The sweep's jumps over smooth stretches leave find_gaps unchanged."""
-
-    @staticmethod
-    def _assert_stride_invariant(monkeypatch, atoms, y, n_grid):
-        cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
-        strided = _gaps_or_error(cfg, n_grid)
-        with monkeypatch.context() as patch:
-            patch.setattr(K, "STRIDE", 1)
-            plain = _gaps_or_error(cfg, n_grid)
-        if isinstance(plain, str) or isinstance(strided, str):
-            assert strided == plain, (atoms, y)
-            return
-        assert len(strided) == len(plain), (atoms, y)
-        for a, b in zip(strided, plain):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=f"{atoms}, {y}")
-
-    @pytest.mark.parametrize("n_grid", [400, DEFAULT_N_GRID])
-    def test_regression_models_match_stride_one(self, monkeypatch, n_grid):
-        for atoms, y in STRIDE_MODELS:
-            self._assert_stride_invariant(monkeypatch, atoms, y, n_grid)
-
-    def test_random_models_match_stride_one(self, monkeypatch):
-        for atoms, y in _random_models(11, 60, 0.8):
-            self._assert_stride_invariant(monkeypatch, atoms, y, DEFAULT_N_GRID)
 
 
 # _refine_stationary's Brent settings
