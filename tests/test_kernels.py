@@ -86,6 +86,21 @@ def test_sweep_points_match_closed_form_branch(two_atom_config):
         assert np.all(d[ok] > 0.0) and np.all(np.isnan(s[~ok]))
 
 
+def test_strided_sweep_solves_at_most_a_quarter_of_the_points(two_atom_config, monkeypatch):
+    # on the full default grid the sweep solves no point by scalar Newton,
+    # well inside the quarter of the points that a strided walk may solve,
+    # and its vectorised phi calls do not grow with the grid
+    u, t, w = spectrum_arrays(two_atom_config.spectrum)
+    calls = _count_calls(monkeypatch, ("branch", "solve_s", "phi"))
+    for sign in (-1.0, 1.0):
+        calls.update(dict.fromkeys(calls, 0))
+        status = K.sweep(_grid(sign), u, t, w, two_atom_config.y)[3]
+        assert calls["branch"] + calls["solve_s"] <= DEFAULT_N_GRID // 4
+        assert calls["branch"] == calls["solve_s"] == 0
+        assert calls["phi"] == K.POLISH_STEPS
+        assert np.count_nonzero(status == K.OK) >= DEFAULT_N_GRID * 3 // 4
+
+
 def test_find_gaps_makes_few_phi_calls_per_sweep_point(two_atom_config, monkeypatch):
     calls = _count_calls(monkeypatch, ("phi",))
     points = []
