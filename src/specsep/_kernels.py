@@ -11,8 +11,8 @@ coupling constraint from one batched eigenvalue call on companion matrices
 and keeps the admissible one. On 4,000 grid points it takes 11 ms on atoms
 {(0,1,1/2), (8,1,1/2)} at y = 0.1 and 2.8 ms on a signal-free model (medians
 on a shared 2-core host, where the branch walk it replaced took 28 and
-17 ms), and ``find_gaps`` on the two-atom model makes 33 ``branch`` and 90
-``phi`` calls: 6 in its two sweeps, the rest in edge refinement.
+17 ms), and ``find_gaps`` on the two-atom model makes 33 ``branch`` and 88
+``phi`` calls: 4 in its one sweep, the rest in edge refinement.
 
 Kernels call each other through this module's globals (``phi`` inside
 ``solve_s`` and ``real_roots``, ``real_roots`` inside ``sweep``, ...), never
@@ -395,8 +395,9 @@ def sweep(gs, u, t, w, y):
 
     A grid point is OK when ``real_roots`` admits a root there and every
     admitted root has the same x to ROOT_RTOL relative (copies of one root,
-    left where two atoms' poles nearly coincide); the first of them is
-    returned. Every other point is NO_BRACKET.
+    left where two atoms' poles nearly coincide); the one with the smallest
+    |phi| is returned, since a copy that the polish has not yet brought onto
+    the root can agree with it in x. Every other point is NO_BRACKET.
 
     Returns (s, x, dx_dg, status, den) arrays; den[i, k] is atom k's
     denominator 1 + u*g + t*s at grid point i. A NO_BRACKET point has NaN in
@@ -406,8 +407,10 @@ def sweep(gs, u, t, w, y):
     x_lo = np.where(admissible, x, np.inf).min(axis=1)
     x_hi = np.where(admissible, x, -np.inf).max(axis=1)
     ok = admissible.any(axis=1) & (x_hi - x_lo <= ROOT_RTOL * np.abs(x_lo))
+    with np.errstate(all="ignore"):
+        residual = np.where(admissible, np.abs(phi(gs[:, None], s, u, t, w, y)), np.inf)
     rows = np.arange(gs.shape[0])
-    first = np.argmax(admissible, axis=1)
-    s, x, dx_dg = (np.where(ok, a[rows, first], np.nan) for a in (s, x, dx_dg))
+    best = np.argmin(residual, axis=1)
+    s, x, dx_dg = (np.where(ok, a[rows, best], np.nan) for a in (s, x, dx_dg))
     den = 1.0 + gs[:, None] * u + s[:, None] * t
     return s, x, dx_dg, np.where(ok, OK, NO_BRACKET), den

@@ -3,24 +3,27 @@
 Outside the support, the solution triple (g, s(g), x(g)) moves along a real
 branch where x is the inverse map of the transform pair. Points with
 dx/dg > 0 on that branch lie in the complement of the support; stationary
-points of x are support edges. Gaps are found by sweeping g, grouping runs
-of admissible points with a consistent atom-denominator sign pattern, and
-refining run boundaries.
+points of x are support edges. Gaps are found by one sweep over a g grid
+on both sides of 0, runs of admissible points with a consistent
+atom-denominator sign pattern, found with numpy, and refinement of the run
+ends.
 
 The sweep (``_kernels.sweep``) takes every real root of the coupling
 constraint at each grid point and keeps the admissible one: in a gap, g(x)
 and s(x) are real Stieltjes transforms, so dx/dg > 0, s'(g) > 0 and the
 Cauchy-Schwarz bounds g'(x) >= g^2 and s'(x) >= s^2 hold there. Which root
-Newton would reach from some start plays no part. Each interior run end is
+Newton would reach from some start plays no part. A run end at an end of
+the grid is set by its index alone (``find_gaps``); every other run end is
 refined against its grid neighbour. If the neighbour's real root nearest the
 run end's tangent keeps the run's denominator signs and has dx/dg <= 0, the
 cell brackets the edge, and Brent's method on dx/dg refines it (``_brent``,
 a port of scipy's brentq, so the package needs numpy alone), each
 evaluation seeded on the chord across the cell so it stays on the run's
-root. Otherwise the cell holds a fold, and bisection on admissibility
-closes on the edge. Each reported gap is then checked once against
-``boundary_value`` at its midpoint; a pair that is not real there raises
-NotInGapError. The four tests are necessary conditions, measured but not
+root. Otherwise, or when a seeded evaluation finds no root because the
+neighbour's root lies on another branch, the cell holds a fold, and
+bisection on admissibility closes on the edge. Each reported gap is then
+checked once against ``boundary_value`` at its midpoint; a pair that is not
+real there raises NotInGapError. The four tests are necessary conditions, measured but not
 proved sufficient, and the check catches only a reported gap whose midpoint
 lies in the support: it cannot see a wrong edge of a gap whose midpoint is
 right, nor a gap that was not reported.
@@ -158,11 +161,6 @@ def x_of_g(g: float, cfg: ModelConfig) -> RealBranch:
     return RealBranch(g=float(g), s=float(s), x=float(x), dx_dg=float(dx_dg))
 
 
-def _log_grid(lo_abs: float, hi_abs: float, n: int, sign: float) -> np.ndarray:
-    grid = sign * np.logspace(np.log10(lo_abs), np.log10(hi_abs), n)
-    return np.sort(grid)
-
-
 def _seeded_branch(g, cell, u, t, w, y):
     """Branch point at g inside a refined cell, seeded on the cell's chord.
 
@@ -270,9 +268,12 @@ def _refine_edge(g_end, s_end, g_next, u, t, w, y):
     If the real root at g_next nearest the run end's tangent
     s_end + s'(g_end)*(g_next - g_end) keeps the run end's denominator signs
     and has dx/dg <= 0, the cell brackets a stationary point of x and Brent
-    refines it. Otherwise the cell holds a fold: bisection on admissibility,
-    with the run end's denominator signs, closes on it to FOLD_RTOL relative
-    in g and returns its last admissible point. Returns (g, x).
+    refines it. Otherwise, or when Brent's chord-seeded evaluations leave
+    the branch (that root lies on another branch, past a fold in the same
+    cell), the cell holds a fold: bisection on admissibility, with the run
+    end's denominator signs, closes on the end of admissibility, a fold or a
+    stationary point, to FOLD_RTOL relative in g and returns its last
+    admissible point. Returns (g, x).
     """
     signs = 1.0 + u * g_end + t * s_end > 0.0
 
@@ -286,7 +287,10 @@ def _refine_edge(g_end, s_end, g_next, u, t, w, y):
     if np.any(np.isfinite(s)):
         j = np.nanargmin(np.abs(s - (s_end + ds_end * (g_next - g_end))))
         if same[j] and dx[j] <= 0.0:
-            return _refine_stationary((g_end, s_end, g_next, s[j]), u, t, w, y)
+            try:
+                return _refine_stationary((g_end, s_end, g_next, s[j]), u, t, w, y)
+            except CoarseGridError:
+                pass  # the neighbour's root is on another branch: bisect
     lo, x_lo, hi = float(g_end), float(x_end), float(g_next)
     while abs(hi - lo) > FOLD_RTOL * abs(lo):
         g = 0.5 * (lo + hi)
@@ -310,100 +314,57 @@ def _check_gap(gap: SpectralGap, cfg: ModelConfig) -> None:
         )
 
 
-def find_gaps(
-    cfg: ModelConfig,
-    g_lo: float = -DEFAULT_G_BOUND,
-    g_hi: float = DEFAULT_G_BOUND,
-    n_grid: int = DEFAULT_N_GRID,
-) -> list[SpectralGap]:
-    """All support gaps on the positive axis, sorted by lower endpoint.
+def find_gaps(cfg: ModelConfig, n_grid: int = DEFAULT_N_GRID) -> list[SpectralGap]:
+    """All support gaps on the positive axis, in increasing order.
 
-    Sweeps g over log-spaced grids on (g_lo, 0) and (0, g_hi), keeps
-    maximal runs of grid points with an admissible root (``K.sweep``) and a
-    per-atom constant denominator sign, refines each interior run boundary
-    (``_refine_edge``) to a stationary point of x or, where a fold cuts the
-    run short, to the end of admissibility (FOLD_RTOL relative in g),
-    clamps the gap reached as g -> -inf to a = 0 (y < 1), and maps the run
-    ending at g -> 0- to the unbounded gap (sup of support, +inf). Raises
-    NotInGapError when the boundary pair at a reported gap's midpoint (at
-    a + UNBOUNDED_SPAN/2 for the unbounded gap) has |Im s| >= GAP_IMAG_TOL.
-    That last check only catches a gap whose midpoint lies in the support;
-    it does not catch a wrong edge of a gap whose midpoint is right, or a
-    gap that was not reported.
+    Sweeps g once (``K.sweep``) over n_grid log-spaced points on each side
+    of 0, from DEFAULT_G_INNER to DEFAULT_G_BOUND in |g|, negative half
+    first. A run is a maximal stretch of at least two consecutive admissible
+    points on one side of 0 whose atom denominators keep their signs. Each
+    run end is classified by its grid index: the run reaching g = -bound is
+    clamped to a = 0 (x -> 0+ as g -> -inf), the run reaching g -> 0- gives
+    the unbounded gap (b = +inf), the ends of the positive half stay at
+    their grid points, and every other end is refined (``_refine_edge``) to
+    a stationary point of x or, where a fold cuts the run short, to the end
+    of admissibility (FOLD_RTOL relative in g). Runs with x <= 0 (the
+    positive half) are dropped. The runs come in increasing g, and on every
+    model tried the gaps they give come in increasing x (notes/decisions.md).
+
+    Raises NotInGapError when the boundary pair at a reported gap's midpoint
+    (at a + UNBOUNDED_SPAN/2 for the unbounded gap) has |Im s| >=
+    GAP_IMAG_TOL. That check only catches a gap whose midpoint lies in the
+    support; it does not catch a wrong edge of a gap whose midpoint is
+    right, or a gap that was not reported.
     """
     if n_grid < 100:
         raise ValueError(f"n_grid must be >= 100, got {n_grid}")
-    if not (g_lo < 0 < g_hi):
-        raise ValueError("need g_lo < 0 < g_hi")
     u, t, w = spectrum_arrays(cfg.spectrum)
     y = cfg.y
+    half = np.logspace(np.log10(DEFAULT_G_INNER), np.log10(DEFAULT_G_BOUND), n_grid)
+    gs = np.concatenate([-half[::-1], half])
+    s_arr, x_arr, _dx, status, den = K.sweep(gs, u, t, w, y)
+    good = status == K.OK
+    # joined[i]: points i and i + 1 lie on one run; g = 0 parts the halves
+    joined = good[1:] & good[:-1] & np.all(np.sign(den[1:]) == np.sign(den[:-1]), axis=1)
+    joined[n_grid - 1] = False
+    starts, ends = np.flatnonzero(np.diff(joined, prepend=False, append=False)).reshape(-1, 2).T
 
-    gaps: list[SpectralGap] = []
-    for sign, bound in ((-1.0, abs(g_lo)), (1.0, abs(g_hi))):
-        gs = _log_grid(DEFAULT_G_INNER, bound, n_grid, sign)
-        s_arr, x_arr, _dx, status, den = K.sweep(gs, u, t, w, y)
-        good = (status == K.OK).tolist()
-        # same_signs[i]: points i and i + 1 share every atom's denominator sign
-        same_signs = np.all(np.sign(den[1:]) == np.sign(den[:-1]), axis=1).tolist()
+    def edge(i, outside):
+        # (g, x) of run end i, whose grid neighbour outside the run is `outside`
+        if i in (n_grid, 2 * n_grid - 1):
+            return gs[i], x_arr[i]
+        return _refine_edge(gs[i], s_arr[i], gs[outside], u, t, w, y)
 
-        runs = []
-        start = None
-        for i in range(len(gs)):
-            if good[i] and start is None:
-                start = i
-            elif start is not None and not (good[i] and same_signs[i - 1]):
-                runs.append((start, i - 1))
-                start = i if good[i] else None
-        if start is not None:
-            runs.append((start, len(gs) - 1))
-
-        for i0, i1 in runs:
-            if i1 - i0 < 1:
-                continue
-            at_lower_boundary = i0 == 0
-            at_upper_boundary = i1 == len(gs) - 1
-
-            if at_lower_boundary:
-                g_a, a = gs[i0], x_arr[i0]
-            else:
-                g_a, a = _refine_edge(gs[i0], s_arr[i0], gs[i0 - 1], u, t, w, y)
-
-            if at_upper_boundary:
-                g_b, b = gs[i1], x_arr[i1]
-            else:
-                g_b, b = _refine_edge(gs[i1], s_arr[i1], gs[i1 + 1], u, t, w, y)
-
-            if sign < 0 and at_lower_boundary and y < 1.0 and 0.0 < a:
-                # branch runs out to g -> -inf where x -> 0+; no mass at zero
-                a, g_a = 0.0, -math.inf
-            if sign < 0 and at_upper_boundary and b > 0.0:
-                # x -> +inf as g -> 0-; the gap above the support
-                b, g_b = math.inf, 0.0
-
-            if b <= 0.0:
-                continue
-            a = max(a, 0.0)
-            if not b > a:
-                continue
+    gaps = []
+    for i0, i1 in zip(starts, ends):
+        g_a, a = (-math.inf, 0.0) if i0 == 0 else edge(i0, i0 - 1)
+        g_b, b = (0.0, math.inf) if i1 == n_grid - 1 else edge(i1, i1 + 1)
+        a = max(a, 0.0)
+        if b > a:
             gaps.append(SpectralGap(a=float(a), b=float(b), g_a=float(g_a), g_b=float(g_b), y=y))
-
-    gaps.sort(key=lambda gap: gap.a)
-    merged: list[SpectralGap] = []
     for gap in gaps:
-        if merged and gap.a < merged[-1].b:
-            prev = merged[-1]
-            merged[-1] = SpectralGap(
-                a=min(prev.a, gap.a),
-                b=max(prev.b, gap.b),
-                g_a=prev.g_a if prev.a <= gap.a else gap.g_a,
-                g_b=prev.g_b if prev.b >= gap.b else gap.g_b,
-                y=gap.y,
-            )
-        else:
-            merged.append(gap)
-    for gap in merged:
         _check_gap(gap, cfg)
-    return merged
+    return gaps
 
 
 def density(
@@ -480,20 +441,16 @@ def _match_gap(gaps: list[SpectralGap], ref: SpectralGap, y: float) -> SpectralG
     return best
 
 
-def gap_vs_y(
-    spectrum: JointSpectrum,
-    y_values,
-    gap_selector,
-    g_lo: float = -DEFAULT_G_BOUND,
-    g_hi: float = DEFAULT_G_BOUND,
-    n_grid: int = DEFAULT_N_GRID,
-) -> list[SpectralGap]:
+def gap_vs_y(spectrum: JointSpectrum, y_values, gap_selector) -> list[SpectralGap]:
     """Track one gap across strictly decreasing aspect ratios.
 
-    Asserts the tracked width strictly increases as y decreases for finite
-    gaps, and that the finite lower endpoint of the unbounded gap strictly
-    decreases. Raises GapTrackingError when the gap closes, jumps, or
-    violates monotonicity at some step.
+    Each ratio's gaps come from ``find_gaps`` on its default grid; the
+    selector (an index, or a callable on the gap list) picks the gap at the
+    first ratio, and each later one is its overlapping successor. Asserts
+    the tracked width strictly increases as y decreases for finite gaps, and
+    that the finite lower endpoint of the unbounded gap strictly decreases.
+    Raises GapTrackingError when the gap closes, jumps, or violates
+    monotonicity at some step.
     """
     y_values = list(y_values)
     if any(not (0.0 < y <= 1.0) for y in y_values):
@@ -502,10 +459,10 @@ def gap_vs_y(
         raise ValueError("y values must be strictly decreasing")
 
     tracked: list[SpectralGap] = []
-    current = _select_gap(find_gaps(ModelConfig(spectrum, y_values[0]), g_lo, g_hi, n_grid), gap_selector)
+    current = _select_gap(find_gaps(ModelConfig(spectrum, y_values[0])), gap_selector)
     tracked.append(current)
     for y in y_values[1:]:
-        gaps = find_gaps(ModelConfig(spectrum, y), g_lo, g_hi, n_grid)
+        gaps = find_gaps(ModelConfig(spectrum, y))
         nxt = _match_gap(gaps, current, y)
         if current.unbounded:
             if not nxt.a < current.a:

@@ -40,10 +40,11 @@ def test_nested_kernel_calls_go_through_module_globals(two_atom_config, monkeypa
     names = ("real_roots", "phi", "branch_terms", "branch", "solve_s")
     calls = _count_calls(monkeypatch, names)
     wrapped = K.sweep(gs, u, t, w, y)
-    # one vectorised pass: no point is solved by scalar Newton
+    # one vectorised pass: no point is solved by scalar Newton; phi runs once
+    # per polish step and once more for the residuals of the admitted roots
     assert calls == {
         "real_roots": 1,
-        "phi": K.POLISH_STEPS,
+        "phi": K.POLISH_STEPS + 1,
         "branch_terms": K.POLISH_STEPS + 1,
         "branch": 0,
         "solve_s": 0,
@@ -97,7 +98,7 @@ def test_strided_sweep_solves_at_most_a_quarter_of_the_points(two_atom_config, m
         status = K.sweep(_grid(sign), u, t, w, two_atom_config.y)[3]
         assert calls["branch"] + calls["solve_s"] <= DEFAULT_N_GRID // 4
         assert calls["branch"] == calls["solve_s"] == 0
-        assert calls["phi"] == K.POLISH_STEPS
+        assert calls["phi"] == K.POLISH_STEPS + 1
         assert np.count_nonzero(status == K.OK) >= DEFAULT_N_GRID * 3 // 4
 
 
@@ -112,26 +113,46 @@ def test_find_gaps_makes_few_phi_calls_per_sweep_point(two_atom_config, monkeypa
 
     monkeypatch.setattr(K, "sweep", sweep)
     find_gaps(two_atom_config)
-    assert sum(points) == 2 * DEFAULT_N_GRID
+    # one sweep over both halves of the grid
+    assert points == [2 * DEFAULT_N_GRID]
     assert calls["phi"] <= 5 * sum(points)
 
 
 def test_signal_free_sweep_costs_one_phi_call_per_point(mp_config, monkeypatch):
     # u = 0: phi(g, s) = s - g, the only root is s = g exactly and the
     # polish leaves it there; each polish step is one vectorised phi call,
-    # so every point costs one phi evaluation per step
+    # and one more gives the residuals, so every point costs one phi
+    # evaluation per step and one for its residual
     u, t, w = spectrum_arrays(mp_config.spectrum)
     y = mp_config.y
     gs = _grid(-1.0)
     calls = _count_calls(monkeypatch, ("phi", "branch"))
     s, _x, d, status, _den = K.sweep(gs, u, t, w, y)
-    assert calls == {"phi": K.POLISH_STEPS, "branch": 0}
+    assert calls == {"phi": K.POLISH_STEPS + 1, "branch": 0}
     ok = status == K.OK
     # the closed-form dx/dg on s = g
     np.testing.assert_array_equal(ok, 1.0 / gs**2 - y / (1.0 + gs) ** 2 > 0.0)
     assert np.all(status[~ok] == K.NO_BRACKET)
     np.testing.assert_array_equal(s[ok], gs[ok])
     assert np.all(d[ok] > 0.0)
+
+
+def test_sweep_returns_the_converged_copy_of_a_root():
+    # defect C's two atoms share t = 2, so near g = -1e-6 their poles nearly
+    # coincide; an eigenvalue placed between them is polished only to within
+    # |phi| ~ 1e-6 of the root s ~ g, passes the four tests and agrees with
+    # the root in x to 1e-12, and the sweep used to return it
+    atoms, y, _n = GAP_MODELS["defect-C"]
+    u, t, w = spectrum_arrays(JointSpectrum.from_atoms(atoms))
+    gs = _grid(-1.0)
+    _s, _x, _d, admissible = K.real_roots(gs, u, t, w, y)
+    twice = np.flatnonzero(np.count_nonzero(admissible, axis=1) > 1)
+    assert len(twice) == 5 and np.all((-1.084e-6 <= gs[twice]) & (gs[twice] <= -1e-6))
+    s, _x, _d, status, _den = K.sweep(gs[twice], u, t, w, y)
+    assert np.all(status == K.OK)
+    residual = np.abs(K.phi(gs[twice], s, u, t, w, y))
+    assert np.all(residual <= 1e-18)
+    np.testing.assert_allclose(s, gs[twice], rtol=1e-5)
 
 
 def _is_boundary_pair(g, s, x, cfg):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from specsep import _kernels as K
 from specsep import (
     JointSpectrum,
     ModelConfig,
@@ -13,6 +16,9 @@ from specsep import (
     materialize_pairs,
     predict_counts,
 )
+from specsep.spectrum import spectrum_arrays
+
+from test_support import GAP_MODELS
 
 
 class TestHValues:
@@ -70,6 +76,34 @@ class TestPredictCounts:
         assert pred.count_h_below == 40
         assert pred.count_h_above == 40
         assert pred.eigencounts("derivation") == (40, 40)
+
+    @pytest.mark.parametrize(
+        "atoms, y",
+        [
+            *(pytest.param(atoms, y, id=name) for name, (atoms, y, _n) in GAP_MODELS.items()),
+            pytest.param([(0.0, 1.0, 0.5), (8.0, 1.0, 0.5)], 0.1, id="two-atom"),
+        ],
+    )
+    def test_counts_follow_the_sign_row_of_the_sweep(self, atoms, y):
+        # a pair taken from atom k has 1 + h = 1 + u_k*g + t_k*s, atom k's
+        # denominator, so the pairs with h > -1 are those of the atoms whose
+        # denominator is positive on the gap's stretch of the real branch
+        spectrum = JointSpectrum.from_atoms(atoms)
+        cfg = ModelConfig(spectrum, y)
+        u, t, w = spectrum_arrays(spectrum)
+        pairs = materialize_pairs(spectrum, 200)
+        multiplicity = np.array([pairs.count((atom.u, atom.t)) for atom in spectrum.atoms])
+        for gap in find_gaps(cfg):
+            if math.isinf(gap.g_a):
+                g = 2.0 * gap.g_b
+            elif gap.unbounded:
+                g = 0.5 * gap.g_a
+            else:
+                g = 0.5 * (gap.g_a + gap.g_b)
+            _s, _x, _d, status, den = K.sweep(np.array([g]), u, t, w, y)
+            assert status[0] == K.OK, (gap, g)
+            expected = int(multiplicity[den[0] > 0.0].sum())
+            assert predict_counts(gap, pairs, cfg).count_h_above == expected, gap
 
     def test_partition_property(self, two_atom_config):
         pairs = materialize_pairs(two_atom_config.spectrum, 30)

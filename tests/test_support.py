@@ -84,6 +84,18 @@ GAP_MODELS = {
         0.852322833894462,
         3,
     ),
+    # the stationary edge at g ~ -0.70693 shares a grid cell with a fold; the
+    # neighbour's only real root lies on another branch, so Brent seeded on
+    # the chord failed and find_gaps raised CoarseGridError at 400, 2000 and
+    # 4000 points
+    "defect-F": (
+        [
+            (1.2636862318624642, 0.1250178297859546, 0.01449615245376049),
+            (7.962273903844265, 4.562199756119218, 1 - 0.01449615245376049),
+        ],
+        0.11870409253983466,
+        3,
+    ),
 }
 
 # Random models on which the old branch walk declined a root far from its
@@ -211,6 +223,18 @@ class TestFindGaps:
         assert gaps[0].a == pytest.approx(4.0, abs=1e-8)
         assert math.isinf(gaps[0].b)
 
+    def test_y_one_lowest_gap_starts_at_zero(self):
+        # x -> 0+ as g -> -inf on the admissible branch, and the pair is real
+        # down to x = 1e-6; the gap's lower edge used to be x(-1e4) = 9e-5
+        cfg = ModelConfig(JointSpectrum.from_atoms([(10.0, 1.0, 1.0)]), 1.0)
+        gaps = find_gaps(cfg)
+        assert len(gaps) == 2
+        assert (gaps[0].a, gaps[0].g_a) == (0.0, -math.inf)
+        assert gaps[0].b == pytest.approx(3.375, rel=1e-12)
+        assert gaps[1].a == pytest.approx(21.6, rel=1e-12)
+        assert math.isinf(gaps[1].b)
+        assert abs(boundary_value(1e-6, cfg).s_under.imag) < GAP_IMAG_TOL
+
     def test_two_atom_small_y_matches_brute_force(self, two_atom_spectrum):
         cfg = ModelConfig(two_atom_spectrum, 0.01)
         gaps = find_gaps(cfg)
@@ -315,6 +339,7 @@ class TestFindGaps:
         cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
         gaps = find_gaps(cfg, n_grid=n_grid)
         assert len(gaps) == n_gaps
+        assert all(lo.b < hi.a for lo, hi in zip(gaps, gaps[1:]))
         for gap in gaps:
             b = gap.a + UNBOUNDED_SPAN if gap.unbounded else gap.b
             inset = 0.05 * (b - gap.a)
@@ -349,6 +374,10 @@ class TestFindGaps:
                 4,
                 id="seed-11",
             ),
+            # a fold shares the cell of the middle gap's lower edge; both
+            # grids raised CoarseGridError before that cell went to the
+            # bisection when Brent's seeded evaluations failed
+            pytest.param(*GAP_MODELS["defect-F"], id="defect-F"),
         ],
     )
     def test_coarse_grid_edges_next_to_folds_match_the_default_grid(self, atoms, y, n_gaps):
@@ -359,7 +388,7 @@ class TestFindGaps:
         for c, f in zip(coarse, fine):
             assert (c.a, c.b) == pytest.approx((f.a, f.b), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("name", ["defect-D", "defect-E"])
+    @pytest.mark.parametrize("name", ["defect-D", "defect-E", "defect-F"])
     def test_gap_edges_match_the_scan_oracle(self, name):
         # the scan sees the support only through boundary_value, never
         # through the sweep; its 1,250 points resolve features wider than 0.02
