@@ -60,13 +60,17 @@ def load_config(path: str) -> RunConfig:
         atoms = [(a["u"], a["t"], a["weight"]) for a in raw["spectrum"]]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"config missing required field: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad y: {exc}") from exc
     try:
         spectrum = JointSpectrum.from_atoms(atoms)
         model = ModelConfig(spectrum=spectrum, y=y)
-    except SpectrumError as exc:
+    except (SpectrumError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     solve_raw = raw.get("solve", {})
+    if not isinstance(solve_raw, dict):
+        raise ConfigError("solve must be a JSON object")
     try:
         solve = SolveSettings(
             tol=float(solve_raw.get("tol", DEFAULT_SETTINGS.tol)),
@@ -75,7 +79,7 @@ def load_config(path: str) -> RunConfig:
             v_start=float(solve_raw.get("v_start", DEFAULT_SETTINGS.v_start)),
             v_min=float(solve_raw.get("v_min", DEFAULT_SETTINGS.v_min)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad solve settings: {exc}") from exc
 
     sim = None
@@ -93,12 +97,13 @@ def load_config(path: str) -> RunConfig:
                 seed=int(sim_raw.get("seed", 0)),
                 complex_entries=bool(sim_raw.get("complex", False)),
             )
-        except (KeyError, TypeError, ValueError, SpectrumError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, SpectrumError) as exc:
             raise ConfigError(f"bad sim settings: {exc}") from exc
-        if abs(sim.p / sim.n - y) > 1.0 / sim.n:
-            raise ConfigError(f"p={sim.p}, n={sim.n} inconsistent with y={y}")
 
-    return RunConfig(model=model, solve=solve, sim=sim, output_dir=raw.get("output_dir", "."))
+    output_dir = raw.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigError("output_dir must be a string")
+    return RunConfig(model=model, solve=solve, sim=sim, output_dir=output_dir)
 
 
 def _fmt(value: float) -> str:
@@ -277,7 +282,7 @@ def cmd_verify(config: RunConfig, out_dir: str, convention: str, threshold: floa
         "passed": passed,
     }
     _write_json(payload, os.path.join(out_dir, "verify.json"))
-    write_eigenvalue_csv(report.trials, os.path.join(out_dir, "eigenvalues.csv"))
+    write_eigenvalue_csv(report.eigenvalues, os.path.join(out_dir, "eigenvalues.csv"))
     if not passed:
         print(
             f"verify: match frequency {report.active_match_frequency:.3f} "

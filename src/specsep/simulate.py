@@ -1,4 +1,9 @@
-"""Finite-matrix realizations, eigenvalue counts, and verification trials."""
+"""Finite-matrix realizations, eigenvalue counts, and verification trials.
+
+The trials' one result is a (trials x p) table of ascending eigenvalues;
+``run_trials`` counts it into ``counts[trial, gap, (below, inside, above)]``
+and reads every frequency of its report off that integer table.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SpectrumError
-from .separation import SeparationPrediction
+from .separation import CONVENTIONS
 from .spectrum import JointSpectrum, materialize_pairs, validate
 from .support import UNBOUNDED_SPAN, SpectralGap
 
@@ -38,16 +43,6 @@ class SimConfig:
             raise SpectrumError(f"trials must be >= 1, got {self.trials}")
         if self.noise_law not in NOISE_LAWS:
             raise SpectrumError(f"unknown noise law {self.noise_law!r}")
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Eigenvalues and per-gap counts of one seeded trial."""
-
-    trial_index: int
-    seed_used: int
-    eigenvalues: np.ndarray
-    counts: tuple[tuple[int, int, int], ...]
 
 
 def build_deterministic(spectrum: JointSpectrum, n: int, p: int):
@@ -116,23 +111,19 @@ def sample_B(simcfg: SimConfig, trial_index: int) -> np.ndarray:
     return (b + b.conj().T) / 2.0
 
 
-def eigenvalues(b: np.ndarray, with_vectors: bool = False):
-    """Ascending eigenvalues of a Hermitian matrix.
-
-    With with_vectors=True also returns eigenvectors and checks the
-    reconstruction residual ||B - V L V*|| / ||B|| < 1e-10.
-    """
+def eigenvalues(b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (checked to 1e-12 relative)."""
     scale = max(1.0, float(np.max(np.abs(b))))
     if np.max(np.abs(b - b.conj().T)) > HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within 1e-12")
-    if not with_vectors:
-        return np.linalg.eigvalsh(b)
-    vals, vecs = np.linalg.eigh(b)
-    recon = (vecs * vals) @ vecs.conj().T
-    rel = np.linalg.norm(b - recon) / max(np.linalg.norm(b), 1e-300)
-    if rel > 1e-10:
-        raise ValueError(f"eigendecomposition residual {rel:.3e} above 1e-10")
-    return vals, vecs
+    return np.linalg.eigvalsh(b)
+
+
+def _trial_eigenvalues(simcfg: SimConfig) -> np.ndarray:
+    """(trials x p) table: row i holds the ascending eigenvalues of trial i."""
+    # sample_B and eigenvalues are looked up in the module's globals on every
+    # call, so a wrapper set on the module sees each trial
+    return np.array([eigenvalues(sample_B(simcfg, i)) for i in range(simcfg.trials)])
 
 
 def count_eigs(eigs: np.ndarray, interval) -> tuple[int, int, int]:
@@ -173,11 +164,17 @@ class GapStats:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Aggregate verification of separation predictions across trials."""
+    """Aggregate verification of separation predictions across trials.
+
+    ``eigenvalues`` is the (trials x p) eigenvalue table and ``counts`` the
+    integer (trials x gaps x 3) table of (below, inside, above) counts
+    against each gap's counting interval.
+    """
 
     simcfg: SimConfig
     convention: str
-    trials: tuple[TrialResult, ...]
+    eigenvalues: np.ndarray
+    counts: np.ndarray
     per_gap: tuple[GapStats, ...]
     all_gaps_match_frequency: dict
 
@@ -194,59 +191,41 @@ def run_trials(
 ) -> VerifyReport:
     """Seeded trials counting eigenvalues against inset gap intervals.
 
-    For every trial and gap, records (below, inside, above) counts and
-    whether they match each side-mapping convention's prediction; the
-    overall match frequency of a convention requires all gaps of a trial
-    to match simultaneously.
+    A trial matches a convention at a gap when its (below, above) counts
+    equal that convention's prediction; the all-gaps match frequency of a
+    convention counts the trials that match at every gap at once.
     """
     gaps = list(gaps)
     predictions = list(predictions)
     if len(gaps) != len(predictions):
         raise ValueError("need one prediction per gap")
     intervals = [counting_interval(gap) for gap in gaps]
-
-    def one_trial(idx: int) -> TrialResult:
-        b = sample_B(simcfg, idx)
-        eigs = eigenvalues(b)
-        counts = tuple(count_eigs(eigs, iv) for iv in intervals)
-        return TrialResult(
-            trial_index=idx, seed_used=simcfg.seed, eigenvalues=eigs, counts=counts
+    eigs = _trial_eigenvalues(simcfg)
+    counts = np.array(
+        [[count_eigs(row, iv) for iv in intervals] for row in eigs], dtype=np.int64
+    ).reshape(simcfg.trials, len(gaps), 3)
+    wants = {c: np.reshape([pr.eigencounts(c) for pr in predictions], (-1, 2)) for c in CONVENTIONS}
+    # matches[c][trial, gap]: below and above both as convention c predicts
+    matches = {c: np.all(counts[:, :, ::2] == want, axis=2) for c, want in wants.items()}
+    n_match = {c: np.count_nonzero(m, axis=0) for c, m in matches.items()}
+    n_empty = np.count_nonzero(counts[:, :, 1] == 0, axis=0)
+    per_gap = tuple(
+        GapStats(
+            gap=gap,
+            interval=iv,
+            inside_zero_frequency=int(n_empty[gi]) / simcfg.trials,
+            match_frequency={c: int(k[gi]) / simcfg.trials for c, k in n_match.items()},
+            predicted={c: pred.eigencounts(c) for c in CONVENTIONS},
         )
-
-    trials = [one_trial(i) for i in range(simcfg.trials)]
-
-    per_gap = []
-    per_conv_all = {conv: np.ones(simcfg.trials, dtype=bool) for conv in ("derivation", "theorem")}
-    for gi, (gap, pred) in enumerate(zip(gaps, predictions)):
-        inside_zero = 0
-        match = {"derivation": 0, "theorem": 0}
-        for trial in trials:
-            below, inside, above = trial.counts[gi]
-            if inside == 0:
-                inside_zero += 1
-            for conv in match:
-                want_below, want_above = pred.eigencounts(conv)
-                ok = below == want_below and above == want_above
-                if ok:
-                    match[conv] += 1
-                else:
-                    per_conv_all[conv][trial.trial_index] = False
-        per_gap.append(
-            GapStats(
-                gap=gap,
-                interval=intervals[gi],
-                inside_zero_frequency=inside_zero / simcfg.trials,
-                match_frequency={c: m / simcfg.trials for c, m in match.items()},
-                predicted={c: pred.eigencounts(c) for c in ("derivation", "theorem")},
-            )
-        )
-    all_freq = {conv: float(np.mean(flags)) for conv, flags in per_conv_all.items()}
+        for gi, (gap, pred, iv) in enumerate(zip(gaps, predictions, intervals))
+    )
     return VerifyReport(
         simcfg=simcfg,
         convention=convention,
-        trials=tuple(trials),
-        per_gap=tuple(per_gap),
-        all_gaps_match_frequency=all_freq,
+        eigenvalues=eigs,
+        counts=counts,
+        per_gap=per_gap,
+        all_gaps_match_frequency={c: float(np.mean(np.all(m, axis=1))) for c, m in matches.items()},
     )
 
 
@@ -278,12 +257,9 @@ def extreme_bound_check(simcfg: SimConfig, eps: float) -> ExtremeBoundReport:
     lower = sigma2 * (1.0 - math.sqrt(y)) ** 2
     upper = sigma2 * (1.0 + math.sqrt(y)) ** 2
 
-    min_eig = math.inf
-    max_eig = -math.inf
-    for i in range(simcfg.trials):
-        eigs = eigenvalues(sample_B(simcfg, i))
-        min_eig = min(min_eig, float(eigs[0]))
-        max_eig = max(max_eig, float(eigs[-1]))
+    eigs = _trial_eigenvalues(simcfg)
+    min_eig = float(eigs[:, 0].min())
+    max_eig = float(eigs[:, -1].max())
     passed = min_eig >= lower - eps and max_eig <= upper + eps
     return ExtremeBoundReport(
         passed=passed,
@@ -316,9 +292,9 @@ def perturbation_check(a: np.ndarray, b: np.ndarray, slack: float = 1e-10) -> Pe
     )
 
 
-def write_eigenvalue_csv(trials, path) -> None:
-    """One CSV row of ascending eigenvalues per trial, 17 significant digits."""
+def write_eigenvalue_csv(table, path) -> None:
+    """One CSV row per row of the eigenvalue table, 17 significant digits."""
     with open(path, "w", encoding="ascii") as fh:
-        for trial in trials:
-            fh.write(",".join(format(v, ".17g") for v in trial.eigenvalues))
+        for row in table:
+            fh.write(",".join(format(v, ".17g") for v in row))
             fh.write("\n")

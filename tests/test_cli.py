@@ -211,6 +211,28 @@ class TestConfigHandling:
         )
         assert main(["gaps", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"solve": None},
+            {"solve": [1e-9]},
+            {"y": "abc"},
+            {"spectrum": [{"u": "abc", "t": 1.0, "weight": 1.0}]},
+            {"spectrum": [{"u": None, "t": 1.0, "weight": 1.0}]},
+            {"solve": {"max_iter": float("inf")}},
+            {"sim": {"n": float("inf")}},
+            {"output_dir": 5},
+        ],
+        ids=["solve-null", "solve-list", "y-text", "u-text", "u-null", "max-iter-inf", "sim-n-inf",
+             "output-dir-number"],
+    )
+    def test_malformed_values_are_config_errors(self, tmp_path, capsys, change):
+        doc = {"y": 0.25, "spectrum": [{"u": 0.0, "t": 1.0, "weight": 1.0}], **change}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gaps", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_solve_defaults_come_from_solve_settings(self, tmp_path):
         atoms = [(0.0, 1.0, 1.0)]
         path = write_config(tmp_path / "cfg.json", 0.25, atoms)

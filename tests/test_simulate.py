@@ -22,7 +22,8 @@ from specsep import (
     run_trials,
     sample_B,
 )
-from specsep.simulate import sample_noise
+from specsep.separation import CONVENTIONS
+from specsep.simulate import counting_interval, sample_noise
 
 
 class TestBuildDeterministic:
@@ -148,13 +149,6 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((40, 40))
-        a = (a + a.T) / 2
-        vals, vecs = eigenvalues(a, with_vectors=True)
-        assert np.all(np.diff(vals) >= 0)
-
     def test_small_ratio_eigenvalues_near_pair_sums(self, two_atom_spectrum):
         # square-root scale perturbation bound: deviations are O(sqrt(y))
         cfg = SimConfig(spectrum=two_atom_spectrum, n=4000, p=20, seed=77)
@@ -209,9 +203,57 @@ class TestRunTrials:
         sim = SimConfig(spectrum=cfg.spectrum, n=500, p=50, trials=4, seed=11)
         r1 = run_trials(sim, gaps, preds)
         r2 = run_trials(sim, gaps, preds)
-        for t1, t2 in zip(r1.trials, r2.trials):
-            assert np.array_equal(t1.eigenvalues, t2.eigenvalues)
+        assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
         assert r1.all_gaps_match_frequency == r2.all_gaps_match_frequency
+
+    @pytest.mark.parametrize(
+        "atoms, y, n",
+        [([(0.0, 1.0, 0.5), (8.0, 1.0, 0.5)], 0.1, 60), ([(0.0, 1.0, 1.0)], 0.2, 50)],
+        ids=["two-atom", "pure-noise"],
+    )
+    def test_tables_and_frequencies_match_a_per_trial_loop(self, atoms, y, n):
+        spectrum = JointSpectrum.from_atoms(atoms)
+        cfg = ModelConfig(spectrum, y)
+        p = round(y * n)
+        gaps = find_gaps(cfg)
+        preds = [predict_counts(g, materialize_pairs(spectrum, p), cfg) for g in gaps]
+        sim = SimConfig(spectrum=spectrum, n=n, p=p, trials=8, seed=5)
+        report = run_trials(sim, gaps, preds)
+
+        rows = [eigenvalues(sample_B(sim, i)) for i in range(sim.trials)]
+        counts = []
+        for row in rows:
+            trial = []
+            for gap in gaps:
+                a, b = counting_interval(gap)
+                below, above = int(np.sum(row < a)), int(np.sum(row > b))
+                trial.append((below, len(row) - below - above, above))
+            counts.append(trial)
+        assert np.array_equal(report.eigenvalues, np.array(rows))
+        assert report.counts.dtype.kind == "i"
+        assert report.counts.tolist() == [[list(c) for c in trial] for trial in counts]
+
+        all_match = {conv: [True] * sim.trials for conv in CONVENTIONS}
+        for gi, (gap, pred, stats) in enumerate(zip(gaps, preds, report.per_gap)):
+            assert stats.gap == gap
+            assert stats.interval == counting_interval(gap)
+            assert stats.predicted == {conv: pred.eigencounts(conv) for conv in CONVENTIONS}
+            empty = sum(1 for trial in counts if trial[gi][1] == 0)
+            assert stats.inside_zero_frequency == empty / sim.trials
+            for conv in CONVENTIONS:
+                hits = 0
+                for ti, trial in enumerate(counts):
+                    below, _inside, above = trial[gi]
+                    if (below, above) == pred.eigencounts(conv):
+                        hits += 1
+                    else:
+                        all_match[conv][ti] = False
+                assert stats.match_frequency[conv] == hits / sim.trials
+        assert report.all_gaps_match_frequency == {
+            conv: sum(flags) / sim.trials for conv, flags in all_match.items()
+        }
+        # a model small enough that some trials miss, so both outcomes are counted
+        assert 0.0 < report.all_gaps_match_frequency["derivation"] < 1.0
 
     def test_esd_matches_density_in_kolmogorov_distance(self, mp_config):
         sim = SimConfig(spectrum=mp_config.spectrum, n=4000, p=1000, seed=31415)

@@ -214,6 +214,20 @@ class TestBoundaryValue:
         assert abs(pair.s_under - oracle) < 1e-9
         assert abs(pair.g_under - oracle) < 1e-9
 
+    @pytest.mark.xfail(strict=True, raises=ContinuationError, reason=(
+        "Newton at v = 1e-5, warm-started from the v = 1e-4 rung, ends NO_CONVERGE "
+        "with residuals (7.2e-5, 4.1e-5); a cold solve there converges"))
+    def test_continuation_reaches_the_axis_just_above_the_lowest_edge(self):
+        cfg = ModelConfig(
+            JointSpectrum.from_atoms([(2.460203074985227, 0.28214932290242284, 0.5),
+                                      (7.178562002415245, 1.4208890122955642, 0.5)]),
+            0.3040239640492571,
+        )
+        edge = 1.7240942580707719  # b of find_gaps' lowest gap on this model
+        pair = boundary_value(edge * (1.0 + 1e-7), cfg)
+        r1, r2 = residual_713(pair, cfg)
+        assert r1 < SolveSettings().tol and r2 < SolveSettings().tol
+
     def test_failed_fixed_point_raises(self, mp_config, monkeypatch):
         def no_fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
             return s0, g0, 1.0, 1.0, max_iter, K.NO_CONVERGE

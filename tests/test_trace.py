@@ -61,3 +61,23 @@ def test_traced_gaps_run_counts_one_sweep_and_restores_every_name(tmp_path):
     for module in MODULES:
         for name, value in before[module].items():
             assert getattr(module, name) is value, (module.__name__, name)
+
+
+def test_traced_verify_run_sees_every_trial_and_restores_every_name(tmp_path):
+    trials = 3
+    cfg = write_config(tmp_path / "mp.json", 0.25, [(0.0, 1.0, 1.0)],
+                       sim={"n": 200, "trials": trials, "seed": 0})
+    before = {module: dict(vars(module)) for module in MODULES}
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    finally:
+        restore()
+    counts = tracer.counts
+    assert counts["simulate.run_trials.calls"] == 1
+    # the trial loop calls both names through simulate's globals
+    assert counts["simulate.sample_B.calls"] == counts["simulate.eigenvalues.calls"] == trials
+    for module in MODULES:
+        for name, value in before[module].items():
+            assert getattr(module, name) is value, (module.__name__, name)
