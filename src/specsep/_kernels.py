@@ -2,11 +2,14 @@
 
 Each scalar kernel is a plain Python function with one path. Sums over atoms
 are scalar loops: models have one to a few atoms, and on 1-3 atoms the loop
-is 3-5x faster per call than a numpy expression over the atom arrays
-(``phi`` on 2 atoms: 2.6 us for the loop against 10.2 us for ``np.sum`` and
-7.3 us for ``@``; see notes/decisions.md). The same loops run elementwise
-on arrays, so ``phi`` and ``branch_terms`` also serve the sweep, which
-treats a whole grid at once: ``real_roots`` takes every root of the
+is 5-10x faster per call than a numpy expression over the atom arrays. The
+scalar kernels take the atoms (u, t, w) as tuples of Python floats
+(``JointSpectrum.columns``): an ``np.float64`` taken from an array sends each
+atom term through numpy's scalar arithmetic (``phi`` on 2 atoms: 0.74 us for
+the loop on Python floats, 2.2 us on float64 arrays, 6.2 us for ``np.sum``
+and 4.4 us for ``@``; see notes/decisions.md). The same loops run
+elementwise on arrays, so ``phi`` and ``branch_terms`` also serve the sweep,
+which treats a whole grid at once: ``real_roots`` takes every root of the
 coupling constraint from one batched eigenvalue call on companion matrices
 and keeps the admissible one. On 4,000 grid points it takes 11 ms on atoms
 {(0,1,1/2), (8,1,1/2)} at y = 0.1 and 2.8 ms on a signal-free model (medians
@@ -69,15 +72,15 @@ def atom_sums(s, g, u, t, w):
     sum0 = 0.0 + 0.0j
     sumt = 0.0 + 0.0j
     min_ad = np.inf
-    for k in range(u.shape[0]):
-        d = 1.0 + u[k] * g + t[k] * s
+    for u_k, t_k, w_k in zip(u, t, w):
+        d = 1.0 + u_k * g + t_k * s
         ad = abs(d)
         if ad < min_ad:
             min_ad = ad
         if ad < POLE_EPS:
             return sum0, sumt, min_ad
-        sum0 += w[k] / d
-        sumt += w[k] * t[k] / d
+        sum0 += w_k / d
+        sumt += w_k * t_k / d
     return sum0, sumt, min_ad
 
 
@@ -87,10 +90,13 @@ def residual_pair(z, s, g, u, t, w, y):
     Returns (r1, r2, status); r1 checks the equation solved for s, r2 the
     one solved for g.
     """
-    if abs(z) < POLE_EPS or abs(s) < POLE_EPS or abs(g) < POLE_EPS:
-        return np.inf, np.inf, POLE
-    sum0, sumt, min_ad = atom_sums(s, g, u, t, w)
-    if min_ad < POLE_EPS:
+    return _residuals(z, s, g, atom_sums(s, g, u, t, w), y)
+
+
+def _residuals(z, s, g, sums, y):
+    """``residual_pair`` at (z, s, g) from the ``atom_sums`` taken there."""
+    sum0, sumt, min_ad = sums
+    if abs(z) < POLE_EPS or abs(s) < POLE_EPS or abs(g) < POLE_EPS or min_ad < POLE_EPS:
         return np.inf, np.inf, POLE
     r1 = abs(z + (1.0 - y) / s + (y / s) * sum0)
     r2 = abs(z + 1.0 / g - y * sumt)
@@ -102,7 +108,9 @@ def fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
 
     Candidate updates come from each equation rearranged for its own
     unknown; iterates leaving the closed upper half-plane are projected
-    back to Im = +1e-16. Returns (s, g, r1, r2, iterations, status).
+    back to Im = +1e-16. The atom sums at each new iterate serve both its
+    residuals and the next update. Returns (s, g, r1, r2, iterations,
+    status).
     """
     s = s0
     g = g0
@@ -111,8 +119,9 @@ def fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
     if abs(z) < POLE_EPS:
         return s, g, r1, r2, 0, POLE
     tol_eff = effective_tol(tol, z)
+    sums = atom_sums(s, g, u, t, w)
     for it in range(max_iter):
-        sum0, sumt, min_ad = atom_sums(s, g, u, t, w)
+        sum0, sumt, min_ad = sums
         if min_ad < POLE_EPS:
             return s, g, np.inf, np.inf, it, POLE
         den = z - y * sumt
@@ -126,7 +135,8 @@ def fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
             s = complex(s.real, 1e-16)
         if g.imag < 0.0:
             g = complex(g.real, 1e-16)
-        r1, r2, status = residual_pair(z, s, g, u, t, w, y)
+        sums = atom_sums(s, g, u, t, w)
+        r1, r2, status = _residuals(z, s, g, sums, y)
         if status == OK and r1 < tol_eff and r2 < tol_eff:
             return s, g, r1, r2, it + 1, OK
     return s, g, r1, r2, max_iter, NO_CONVERGE
@@ -145,7 +155,6 @@ def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
     if abs(z) < POLE_EPS:
         return s, g, np.inf, np.inf, 0, POLE
     tol_eff = effective_tol(tol, z)
-    n = u.shape[0]
     r1, r2, status = residual_pair(z, s, g, u, t, w, y)
     if status != OK:
         return s, g, np.inf, np.inf, 0, POLE
@@ -159,18 +168,18 @@ def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
         sum_tt_d2 = 0.0 + 0.0j
         sum_ut_d2 = 0.0 + 0.0j
         pole = False
-        for k in range(n):
-            d = 1.0 + u[k] * g + t[k] * s
+        for u_k, t_k, w_k in zip(u, t, w):
+            d = 1.0 + u_k * g + t_k * s
             if abs(d) < POLE_EPS:
                 pole = True
                 break
             d2 = d * d
-            sum0 += w[k] / d
-            sumt += w[k] * t[k] / d
-            sum_t_d2 += w[k] * t[k] / d2
-            sum_u_d2 += w[k] * u[k] / d2
-            sum_tt_d2 += w[k] * t[k] * t[k] / d2
-            sum_ut_d2 += w[k] * u[k] * t[k] / d2
+            sum0 += w_k / d
+            sumt += w_k * t_k / d
+            sum_t_d2 += w_k * t_k / d2
+            sum_u_d2 += w_k * u_k / d2
+            sum_tt_d2 += w_k * t_k * t_k / d2
+            sum_ut_d2 += w_k * u_k * t_k / d2
         if pole:
             return s, g, r1, r2, it, POLE
         h1 = z + (1.0 - y) / s + (y / s) * sum0
@@ -212,20 +221,20 @@ def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
 def constraint_residual(s, g, u, t, w, y):
     """|y*g^2 * sum_k w*u/(1+u*g+t*s) + s - g| for complex or real inputs."""
     acc = 0.0 + 0.0j
-    for k in range(u.shape[0]):
-        d = 1.0 + u[k] * g + t[k] * s
+    for u_k, t_k, w_k in zip(u, t, w):
+        d = 1.0 + u_k * g + t_k * s
         if abs(d) < POLE_EPS:
             return np.inf
-        acc += w[k] * u[k] / d
+        acc += w_k * u_k / d
     return abs(y * g * g * acc + s - g)
 
 
 def phi(g, s, u, t, w, y):
     """Real coupling constraint y*g^2*sum(w*u/(1+u*g+t*s)) + s - g."""
     acc = 0.0
-    for k in range(u.shape[0]):
-        d = 1.0 + u[k] * g + t[k] * s
-        acc += w[k] * u[k] / d
+    for u_k, t_k, w_k in zip(u, t, w):
+        d = 1.0 + u_k * g + t_k * s
+        acc += w_k * u_k / d
     return y * g * g * acc + s - g
 
 
@@ -245,12 +254,11 @@ def solve_s(g, u, t, w, y, s_center):
     point is one Newton step short of s, so in Newton's quadratic regime the
     value bounds |phi(g, s)| from above.
     """
-    n = u.shape[0]
     lo = -np.inf
     hi = np.inf
-    for k in range(n):
-        if w[k] * u[k] != 0.0:
-            p = -(1.0 + u[k] * g) / t[k]
+    for u_k, t_k, w_k in zip(u, t, w):
+        if w_k * u_k != 0.0:
+            p = -(1.0 + u_k * g) / t_k
             if p <= s_center:
                 if p > lo:
                     lo = p
@@ -264,9 +272,9 @@ def solve_s(g, u, t, w, y, s_center):
         if f == 0.0:
             return s, 0.0, OK
         acc = 0.0
-        for k in range(n):
-            d = 1.0 + u[k] * g + t[k] * s
-            acc += w[k] * u[k] * t[k] / (d * d)
+        for u_k, t_k, w_k in zip(u, t, w):
+            d = 1.0 + u_k * g + t_k * s
+            acc += w_k * u_k * t_k / (d * d)
         f_s = 1.0 - y * g * g * acc
         if f_s == 0.0:
             return s, abs(f), NO_BRACKET
@@ -296,14 +304,14 @@ def branch_terms(g, s, u, t, w, y):
     b2 = 0.0
     u2 = 0.0
     iu = 0.0
-    for k in range(u.shape[0]):
-        d = 1.0 + u[k] * g + t[k] * s
-        x = x + y * w[k] * t[k] / d
+    for u_k, t_k, w_k in zip(u, t, w):
+        d = 1.0 + u_k * g + t_k * s
+        x = x + y * w_k * t_k / d
         d2 = d * d
-        a2 = a2 + w[k] * u[k] * t[k] / d2
-        b2 = b2 + w[k] * t[k] * t[k] / d2
-        u2 = u2 + w[k] * u[k] * u[k] / d2
-        iu = iu + w[k] * u[k] / d
+        a2 = a2 + w_k * u_k * t_k / d2
+        b2 = b2 + w_k * t_k * t_k / d2
+        u2 = u2 + w_k * u_k * u_k / d2
+        iu = iu + w_k * u_k / d
     phi_g = 2.0 * y * g * iu - y * g * g * u2 - 1.0
     phi_s = 1.0 - y * g * g * a2
     s_prime = -phi_g / phi_s
@@ -322,7 +330,7 @@ def branch(g, u, t, w, y, s_center):
     s, _res, status = solve_s(g, u, t, w, y, s_center)
     if status != OK:
         return s, 0.0, 0.0, 0.0, status
-    if np.min(np.abs(1.0 + u * g + t * s)) < 1e-12:
+    if min(abs(1.0 + u_k * g + t_k * s) for u_k, t_k in zip(u, t)) < 1e-12:
         return s, 0.0, 0.0, 0.0, POLE
     x, dx_dg, s_prime, phi_s = branch_terms(g, s, u, t, w, y)
     if abs(phi_s) < 1e-14:
@@ -359,6 +367,7 @@ def real_roots(gs, u, t, w, y):
     Returns (s, x, dx_dg, admissible), arrays of shape (len(gs), m + 1): row
     i holds grid point i's roots, with NaN in place of complex ones.
     """
+    u, t, w = (np.asarray(a, dtype=np.float64) for a in (u, t, w))
     active = w * u != 0.0
     # d_j = lin_j + t_j*s; build prod_j d_j and sum_k w_k*u_k*prod_{j != k} d_j
     # one atom at a time
@@ -403,6 +412,7 @@ def sweep(gs, u, t, w, y):
     denominator 1 + u*g + t*s at grid point i. A NO_BRACKET point has NaN in
     every array but status.
     """
+    u, t, w = (np.asarray(a, dtype=np.float64) for a in (u, t, w))
     s, x, dx_dg, admissible = real_roots(gs, u, t, w, y)
     x_lo = np.where(admissible, x, np.inf).min(axis=1)
     x_hi = np.where(admissible, x, -np.inf).max(axis=1)

@@ -83,7 +83,7 @@ def residual_713(pair: StieltjesPair, cfg: ModelConfig) -> tuple[float, float]:
     Raises PoleError when z, s, g, or an atom denominator magnitude falls
     below 1e-14.
     """
-    u, t, w = spectrum_arrays(cfg.spectrum)
+    u, t, w = cfg.spectrum.columns
     r1, r2, status = K.residual_pair(
         complex(pair.z), complex(pair.s_under), complex(pair.g_under), u, t, w, cfg.y
     )
@@ -134,7 +134,7 @@ def from_companion(pair: StieltjesPair, y: float) -> tuple[complex, complex]:
 
 def constraint_residual(pair: StieltjesPair, cfg: ModelConfig) -> float:
     """Residual of the compatibility constraint tying s, g, and the u-moment."""
-    u, t, w = spectrum_arrays(cfg.spectrum)
+    u, t, w = cfg.spectrum.columns
     return float(
         K.constraint_residual(
             complex(pair.s_under), complex(pair.g_under), u, t, w, cfg.y
@@ -151,11 +151,11 @@ def _newton(z, cfg, settings, s0, g0):
     K.effective_tol(settings.tol * POLISH_FACTOR, z). Both targets rise to
     the rounding floor RESIDUAL_FLOOR * |z| for large |z|. Newton only
     accepts steps that lower the residual, so it never ends worse than its
-    start. s0 and g0 reach the kernel unconverted: the ladder passes Python
-    complex scalars and the polish the fixed point's numpy ones, which round
-    Newton's divisions differently in the last bits.
+    start. s0 and g0 reach the kernel unconverted. They are Python complex
+    at every call, from the ladder and from the fixed point alike: the atoms
+    are Python floats, so the kernels never make a numpy scalar.
     """
-    u, t, w = spectrum_arrays(cfg.spectrum)
+    u, t, w = cfg.spectrum.columns
     s, g, r1, r2, _it, status = K.newton_pair(
         complex(z), u, t, w, cfg.y, s0, g0,
         settings.tol * POLISH_FACTOR, NEWTON_MAX_ITER,
@@ -174,7 +174,7 @@ def _cold(z, cfg, settings):
     Raises ConvergenceError when the fixed point fails: its budget ran out
     before both residuals fell below settings.tol, or a pole guard tripped.
     """
-    u, t, w = spectrum_arrays(cfg.spectrum)
+    u, t, w = cfg.spectrum.columns
     start = -1.0 / z
     s, g, r1, r2, it, status = K.fixed_point(
         z, u, t, w, cfg.y, start, start,
@@ -246,15 +246,11 @@ def boundary_value(x: float, cfg: ModelConfig, settings: SolveSettings = DEFAULT
     except ConvergenceError as exc:
         raise ContinuationError(x, v) from exc
     for v in heights:
-        pair, holds, _polished = _newton(
-            complex(x, v), cfg, settings, complex(pair.s_under), complex(pair.g_under)
-        )
+        pair, holds, _polished = _newton(complex(x, v), cfg, settings, pair.s_under, pair.g_under)
         if not holds:
             raise ContinuationError(x, v)
 
-    axis, holds, _polished = _newton(
-        complex(x, 0.0), cfg, settings, complex(pair.s_under), complex(pair.g_under)
-    )
+    axis, holds, _polished = _newton(complex(x, 0.0), cfg, settings, pair.s_under, pair.g_under)
     if not holds:
         return pair
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,23 @@ class SpectrumAtom:
 
 @dataclass(frozen=True)
 class JointSpectrum:
-    """Finite discrete joint distribution of paired (u, t) eigenvalues."""
+    """Finite discrete joint distribution of paired (u, t) eigenvalues.
+
+    ``columns`` holds (u, t, weight) as three tuples of Python floats in atom
+    order, built once here. The scalar kernels loop over them: an atom value
+    taken from a numpy array is an ``np.float64``, which sends every atom
+    term through numpy's scalar arithmetic, several times slower than
+    Python's (notes/decisions.md, "Atoms as Python floats").
+    """
 
     atoms: tuple[SpectrumAtom, ...]
+    columns: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        columns = tuple(
+            tuple(float(getattr(a, name)) for a in self.atoms) for name in ("u", "t", "weight")
+        )
+        object.__setattr__(self, "columns", columns)
 
     @classmethod
     def from_atoms(cls, atoms) -> "JointSpectrum":
@@ -80,10 +94,7 @@ class ModelConfig:
 
 def spectrum_arrays(spectrum: JointSpectrum):
     """(u, t, weight) as float64 arrays in atom order."""
-    u = np.array([a.u for a in spectrum.atoms], dtype=np.float64)
-    t = np.array([a.t for a in spectrum.atoms], dtype=np.float64)
-    w = np.array([a.weight for a in spectrum.atoms], dtype=np.float64)
-    return u, t, w
+    return tuple(np.array(column, dtype=np.float64) for column in spectrum.columns)
 
 
 def moments(spectrum: JointSpectrum, i: int, j: int) -> float:

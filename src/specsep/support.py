@@ -46,7 +46,7 @@ from .exceptions import (
     PoleError,
 )
 from .solver import DEFAULT_SETTINGS, SolveSettings, boundary_value
-from .spectrum import JointSpectrum, ModelConfig, spectrum_arrays
+from .spectrum import JointSpectrum, ModelConfig
 
 DEFAULT_G_BOUND = 1e4
 DEFAULT_G_INNER = 1e-6
@@ -132,7 +132,7 @@ def solve_s_given_g(g: float, cfg: ModelConfig) -> float:
     """
     if g == 0.0:
         raise ValueError("the real branch is parametrized by g != 0")
-    u, t, w = spectrum_arrays(cfg.spectrum)
+    u, t, w = cfg.spectrum.columns
     g = float(g)
     s, _res, status = K.solve_s(g, u, t, w, cfg.y, g)
     if status != K.OK:
@@ -150,7 +150,7 @@ def x_of_g(g: float, cfg: ModelConfig) -> RealBranch:
     """
     if g == 0.0:
         raise ValueError("the real branch is parametrized by g != 0")
-    u, t, w = spectrum_arrays(cfg.spectrum)
+    u, t, w = cfg.spectrum.columns
     s, x, dx_dg, _ds_dg, status = K.branch(float(g), u, t, w, cfg.y, float(g))
     if status == K.NO_BRACKET:
         raise BracketError(f"no real root on the branch from s = g at g={g}")
@@ -275,12 +275,14 @@ def _refine_edge(g_end, s_end, g_next, u, t, w, y):
     stationary point, to FOLD_RTOL relative in g and returns its last
     admissible point. Returns (g, x).
     """
-    signs = 1.0 + u * g_end + t * s_end > 0.0
+    u_arr, t_arr = np.array(u), np.array(t)
+    signs = 1.0 + u_arr * g_end + t_arr * s_end > 0.0
 
     def roots_on_run(g):
         # the real roots at g and which of them keep the run end's signs
         s, x, dx, admissible = (a[0] for a in K.real_roots(np.array([g]), u, t, w, y))
-        return s, x, dx, admissible, np.all((1.0 + u * g + t * s[:, None] > 0.0) == signs, axis=1)
+        same = np.all((1.0 + u_arr * g + t_arr * s[:, None] > 0.0) == signs, axis=1)
+        return s, x, dx, admissible, same
 
     x_end, _dx, ds_end, _phi_s = K.branch_terms(g_end, s_end, u, t, w, y)
     s, _x, dx, _admissible, same = roots_on_run(g_next)
@@ -338,7 +340,7 @@ def find_gaps(cfg: ModelConfig, n_grid: int = DEFAULT_N_GRID) -> list[SpectralGa
     """
     if n_grid < 100:
         raise ValueError(f"n_grid must be >= 100, got {n_grid}")
-    u, t, w = spectrum_arrays(cfg.spectrum)
+    u, t, w = cfg.spectrum.columns
     y = cfg.y
     half = np.logspace(np.log10(DEFAULT_G_INNER), np.log10(DEFAULT_G_BOUND), n_grid)
     gs = np.concatenate([-half[::-1], half])

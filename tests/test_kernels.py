@@ -72,11 +72,20 @@ def _closed_form_dx_dg(g, y):
 
 def test_sweep_points_match_closed_form_branch(two_atom_config):
     u, t, w = spectrum_arrays(two_atom_config.spectrum)
+    columns = two_atom_config.spectrum.columns
     y = two_atom_config.y
     for sign in (-1.0, 1.0):
         gs = _grid(sign)
-        s, _x, d, status, _den = K.sweep(gs, u, t, w, y)
+        result = K.sweep(gs, u, t, w, y)
+        s, _x, d, status, _den = result
         ok = status == K.OK
+        # the atoms as tuples of Python floats give the same bits as arrays
+        for a, b in zip(result, K.sweep(gs, *columns, y)):
+            np.testing.assert_array_equal(a, b)
+        for g in gs[ok][::97]:
+            g = float(g)
+            assert K.solve_s(g, *columns, y, g) == K.solve_s(g, u, t, w, y, g)
+            assert K.branch(g, *columns, y, g) == K.branch(g, u, t, w, y, g)
         # the admissible points are exactly those where the branch through
         # s = g has dx/dg > 0; only points inside the support fail
         closed = np.array([_closed_form_dx_dg(g, y) for g in gs])
@@ -217,3 +226,52 @@ def test_admissible_roots_are_unique_and_are_boundary_pairs():
         for k in range(0, len(i_adm), len(i_adm) // 20):
             i, j = i_adm[k], j_adm[k]
             assert _is_boundary_pair(gs[i], s[i, j], x[i, j], cfg), (name, gs[i])
+
+
+def _reference_fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
+    # the fixed point as it was before it carried the atom sums from one
+    # iterate to the next: atom_sums at the top of each iteration, and
+    # residual_pair, which takes them again, at its end
+    s = s0
+    g = g0
+    r1 = np.inf
+    r2 = np.inf
+    if abs(z) < K.POLE_EPS:
+        return s, g, r1, r2, 0, K.POLE
+    tol_eff = K.effective_tol(tol, z)
+    for it in range(max_iter):
+        sum0, sumt, min_ad = K.atom_sums(s, g, u, t, w)
+        if min_ad < K.POLE_EPS:
+            return s, g, np.inf, np.inf, it, K.POLE
+        den = z - y * sumt
+        if abs(den) < K.POLE_EPS:
+            return s, g, np.inf, np.inf, it, K.POLE
+        g_cand = -1.0 / den
+        s_cand = -((1.0 - y) + y * sum0) / z
+        s = (1.0 - damping) * s + damping * s_cand
+        g = (1.0 - damping) * g + damping * g_cand
+        if s.imag < 0.0:
+            s = complex(s.real, 1e-16)
+        if g.imag < 0.0:
+            g = complex(g.real, 1e-16)
+        r1, r2, status = K.residual_pair(z, s, g, u, t, w, y)
+        if status == K.OK and r1 < tol_eff and r2 < tol_eff:
+            return s, g, r1, r2, it + 1, K.OK
+    return s, g, r1, r2, max_iter, K.NO_CONVERGE
+
+
+def test_fixed_point_matches_the_loop_that_took_the_sums_twice(mp_config, two_atom_config):
+    statuses = set()
+    for cfg in (mp_config, two_atom_config):
+        u, t, w = cfg.spectrum.columns
+        cases = [(z, -1.0 / z, -1.0 / z, 10000) for z in
+                 (1.0 + 1.0j, 0.3 + 0.5j, 2.2 + 1e-3j, 7.0 + 0.01j, -1.0 + 0.2j)]
+        # a budget that runs out, and a start on atom 0's pole 1 + u*g + t*s = 0
+        cases.append((1.0 + 0.1j, -1.0 / (1.0 + 0.1j), -1.0 / (1.0 + 0.1j), 5))
+        cases.append((1.0 + 1.0j, complex(-1.0 / t[0]), 0.0j, 10000))
+        for z, s0, g0, max_iter in cases:
+            args = (z, u, t, w, cfg.y, s0, g0, 1e-10, max_iter, 0.5)
+            got = K.fixed_point(*args)
+            assert got == _reference_fixed_point(*args), (z, got)
+            statuses.add(got[5])
+    assert statuses == {K.OK, K.NO_CONVERGE, K.POLE}

@@ -13,6 +13,7 @@ from specsep import (
     StieltjesPair,
     boundary_value,
     constraint_residual,
+    density,
     from_companion,
     residual_712,
     residual_713,
@@ -241,6 +242,29 @@ class TestBoundaryValue:
             boundary_value(1.0, mp_config, settings)
         assert info.value.v == settings.v_start
         assert isinstance(info.value.__cause__, ConvergenceError)
+
+
+    def test_kernels_get_the_atoms_as_python_floats(self, two_atom_config, monkeypatch):
+        # an np.float64 atom value sends every atom term through numpy's
+        # scalar arithmetic; np.float64 and np.complex128 subclass float and
+        # complex, so the types are compared exactly
+        atom_types = set()
+
+        def recording(real):
+            def wrapper(z, u, t, w, *args):
+                atom_types.update(type(v) for column in (u, t, w) for v in column)
+                return real(z, u, t, w, *args)
+            return wrapper
+
+        for name in ("fixed_point", "newton_pair"):
+            monkeypatch.setattr(K, name, recording(getattr(K, name)))
+        boundary_value(3.0, two_atom_config)
+        density(two_atom_config, [0.5, 3.0, 9.0])
+        assert atom_types == {float}
+        # in the support, in a gap (the real pair) and in the upper band
+        for x in (1.0, 3.0, 9.0):
+            pair = boundary_value(x, two_atom_config)
+            assert type(pair.s_under) is complex and type(pair.g_under) is complex
 
 
 class TestInvariantBattery:
