@@ -243,7 +243,6 @@ class TestBoundaryValue:
         assert info.value.v == settings.v_start
         assert isinstance(info.value.__cause__, ConvergenceError)
 
-
     def test_kernels_get_the_atoms_as_python_floats(self, two_atom_config, monkeypatch):
         # an np.float64 atom value sends every atom term through numpy's
         # scalar arithmetic; np.float64 and np.complex128 subclass float and
