@@ -3,11 +3,19 @@
 The trials' one result is a (trials x p) table of ascending eigenvalues;
 ``run_trials`` counts it into ``counts[trial, gap, (below, inside, above)]``
 and reads every frequency of its report off that integer table.
+
+The trial loop is a two-stage pipeline: the calling thread draws trial i's
+matrix while one helper thread takes the eigenvalues of trial i - 1, with
+OpenBLAS pinned to half the cores so the two stages split them. Only the
+p x p matrix crosses to the helper, so one noise array is live at a time.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,24 +114,81 @@ def sample_B(simcfg: SimConfig, trial_index: int) -> np.ndarray:
     b = x @ x.conj().T  # syrk for real entries
     d = r_diag / math.sqrt(n)
     m = d[:, None] * x[:, :p].conj().T
+    # free each array once used: the trial pipeline's helper holds the last
+    # trial's B meanwhile, so one noise array and few p x p arrays are live
+    del x
     b += m + m.conj().T
+    del m
     b[np.diag_indices(p)] += d * d
-    return (b + b.conj().T) / 2.0
+    b += b.conj().T
+    b /= 2.0
+    return b
+
+
+def _max_abs(a: np.ndarray) -> float:
+    # for real entries max |a_ij| is exact from the extremes, with no |a| array
+    if np.iscomplexobj(a):
+        return float(np.max(np.abs(a)))
+    return float(max(a.max(), -a.min()))
 
 
 def eigenvalues(b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (checked to 1e-12 relative)."""
-    scale = max(1.0, float(np.max(np.abs(b))))
-    if np.max(np.abs(b - b.conj().T)) > HERMITIAN_TOL * scale:
-        raise ValueError("matrix is not Hermitian within 1e-12")
+    # an exactly Hermitian matrix, as sample_B makes, passes without a p x p
+    # difference array; it is one the tolerance test would accept too
+    if not np.array_equal(b, b.conj().T):
+        scale = max(1.0, _max_abs(b))
+        if _max_abs(b - b.conj().T) > HERMITIAN_TOL * scale:
+            raise ValueError("matrix is not Hermitian within 1e-12")
     return np.linalg.eigvalsh(b)
 
 
+@contextmanager
+def _blas_threads(count: int):
+    """Run the block with numpy's OpenBLAS on ``count`` threads, then restore.
+
+    Leaves BLAS as it is when numpy's OpenBLAS does not export its thread
+    count under the scipy-openblas names.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _trial_eigenvalues(simcfg: SimConfig) -> np.ndarray:
-    """(trials x p) table: row i holds the ascending eigenvalues of trial i."""
-    # sample_B and eigenvalues are looked up in the module's globals on every
-    # call, so a wrapper set on the module sees each trial
-    return np.array([eigenvalues(sample_B(simcfg, i)) for i in range(simcfg.trials)])
+    """(trials x p) table: row i holds the ascending eigenvalues of trial i.
+
+    While the calling thread runs ``sample_B`` for trial i, one helper thread
+    runs ``eigenvalues`` for trial i - 1; rows are kept in trial order.
+    """
+    # imported here: its import takes about 8 ms, which start-up need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    rows = []
+    pending = None
+    cores = len(os.sched_getaffinity(0))
+    with _blas_threads(max(1, cores // 2)), ThreadPoolExecutor(1) as helper:
+        for i in range(simcfg.trials):
+            # sample_B and eigenvalues are looked up in the module's globals
+            # on every call, so a wrapper set on the module sees each trial
+            b = sample_B(simcfg, i)
+            if pending is not None:
+                rows.append(pending.result())
+            pending = helper.submit(eigenvalues, b)
+        rows.append(pending.result())
+    return np.array(rows)
 
 
 def count_eigs(eigs: np.ndarray, interval) -> tuple[int, int, int]:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,7 @@ from specsep import (
     run_trials,
     sample_B,
 )
+from specsep import simulate
 from specsep.separation import CONVENTIONS
 from specsep.simulate import counting_interval, sample_noise
 
@@ -149,6 +153,18 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+    def test_tolerance_is_relative_to_the_largest_entry(self, dtype):
+        # -4 is the largest |entry|, so the tolerance is 4e-12
+        b = np.array([[1.0, 2.0], [2.0, -4.0]], dtype=dtype)
+        near = b.copy()
+        near[0, 1] += 3e-12
+        assert np.allclose(eigenvalues(near), eigenvalues(b))
+        far = b.copy()
+        far[0, 1] += 5e-12
+        with pytest.raises(ValueError):
+            eigenvalues(far)
+
     def test_small_ratio_eigenvalues_near_pair_sums(self, two_atom_spectrum):
         # square-root scale perturbation bound: deviations are O(sqrt(y))
         cfg = SimConfig(spectrum=two_atom_spectrum, n=4000, p=20, seed=77)
@@ -263,6 +279,72 @@ class TestRunTrials:
         cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid) * 0.5 * (curve.f[1:] + curve.f[:-1]))])
         emp = np.searchsorted(np.sort(eigs), grid, side="right") / len(eigs)
         assert np.max(np.abs(emp - cdf)) <= 0.03
+
+
+def _blas_thread_count() -> int:
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return lib.scipy_openblas_get_num_threads64_()
+    except (AttributeError, OSError):
+        pytest.skip("numpy's OpenBLAS does not export its thread count")
+
+
+class TestTrialPipeline:
+    """The trial loop draws trial i while a helper thread solves trial i - 1."""
+
+    def test_table_matches_a_sequential_loop_bitwise(self, two_atom_spectrum):
+        sim = SimConfig(spectrum=two_atom_spectrum, n=90, p=30, trials=7, seed=21)
+        table = simulate._trial_eigenvalues(sim)
+        expected = np.array([eigenvalues(sample_B(sim, i)) for i in range(sim.trials)])
+        assert table.shape == (sim.trials, sim.p)
+        assert np.array_equal(table, expected)
+
+    def test_blas_and_threads_restored_after_a_failed_trial(self, two_atom_config, monkeypatch):
+        gaps = find_gaps(two_atom_config)
+        pairs = materialize_pairs(two_atom_config.spectrum, 30)
+        preds = [predict_counts(g, pairs, two_atom_config) for g in gaps]
+        sim = SimConfig(spectrum=two_atom_config.spectrum, n=300, p=30, trials=6, seed=8)
+        blas_before, threads_before = _blas_thread_count(), threading.active_count()
+        pinned = max(1, len(os.sched_getaffinity(0)) // 2)
+        seen = []
+        failure = RuntimeError("trial 3 failed")
+        original = simulate.sample_B
+
+        def sample_B_failing_at_3(simcfg, trial_index):
+            seen.append(_blas_thread_count())
+            if trial_index == 3:
+                raise failure
+            return original(simcfg, trial_index)
+
+        monkeypatch.setattr(simulate, "sample_B", sample_B_failing_at_3)
+        with pytest.raises(RuntimeError) as info:
+            run_trials(sim, gaps, preds)
+        assert info.value is failure
+        assert seen == [pinned] * 4
+        assert _blas_thread_count() == blas_before
+        assert threading.active_count() == threads_before
+
+        monkeypatch.setattr(simulate, "sample_B", original)
+        report = run_trials(sim, gaps, preds)
+        assert report.eigenvalues.shape == (sim.trials, sim.p)
+        assert _blas_thread_count() == blas_before
+        assert threading.active_count() == threads_before
+
+    def test_one_noise_array_live_at_a_time(self, two_atom_config):
+        # the helper holds only a p x p matrix; a second trial's noise would
+        # take the peak past two p x n arrays
+        n, p = 2000, 200
+        gaps = find_gaps(two_atom_config)
+        pairs = materialize_pairs(two_atom_config.spectrum, p)
+        preds = [predict_counts(g, pairs, two_atom_config) for g in gaps]
+        sim = SimConfig(spectrum=two_atom_config.spectrum, n=n, p=p, trials=6, seed=3)
+        tracemalloc.start()
+        try:
+            run_trials(sim, gaps, preds)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * p * n
 
 
 class TestExtremeBounds:
