@@ -24,7 +24,8 @@ a test, therefore sees every nested call as well as the outermost one.
 
 Status codes returned by kernels:
   0  success
-  1  iteration budget exhausted
+  1  iteration budget exhausted; in ``newton_pair`` also a step that stopped
+     shrinking above rounding level
   2  pole guard tripped (a denominator magnitude fell below threshold)
   3  no real root on the branch: Newton left its pole-free interval or
      stalled (a fold); in ``sweep``, no admissible root at the grid point
@@ -49,6 +50,14 @@ RESIDUAL_FLOOR = 1e-14
 # solve_s stops once a Newton step is below STEP_TOL*(1+|s|): Newton
 # converges quadratically there, so the stepped point is at rounding level.
 STEP_TOL = 1e-10
+# newton_pair stops, converged, once both steps are below PAIR_STEP_TOL
+# relative to the stepped point: two units of rounding. Next to an edge the
+# Jacobian is nearly singular and rounding keeps the step above that, so it
+# also stops, unconverged, once a step below PAIR_NOISE_TOL (about the square
+# root of the unit roundoff, below which a converging Newton step shrinks at
+# every iteration) is no smaller than the one before.
+PAIR_STEP_TOL = 4e-16
+PAIR_NOISE_TOL = 1e-8
 # Newton steps solve_s takes before it calls the point a fold.
 SOLVE_MAX_ITER = 50
 # real_roots counts a root r with |Im r| <= ROOT_RTOL*(1 + |r|) as real, lets
@@ -143,12 +152,26 @@ def fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
 
 
 def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
-    """Damped Newton on the two-equation residual map, polishing a stall.
+    """Newton on the cleared two-equation system, polishing a stall.
 
-    Solves the 2x2 complex linear system per step by Cramer's rule and
-    backtracks on residual increase. Quadratically convergent where the
-    fixed point suffers critical slowing (near support edges).
-    Returns (s, g, r1, r2, iterations, status).
+    The equations are ``residual_pair``'s multiplied through by s and by g,
+
+        F1 = z*s + (1 - y) + y*sum(w/d),
+        F2 = z*g + 1 - y*g*sum(w*t/d),
+
+    which have no pole at s = 0 or g = 0, so Newton passes close to either
+    where the inverted system, divided by s and g, stalls. A start whose
+    ``residual_pair`` residuals are already below effective_tol(tol, z) is
+    returned unchanged. Otherwise every step is the full Newton step (the
+    2x2 complex system by Cramer's rule), and an iterate leaving the closed
+    upper half-plane is projected back to Im = +1e-16. Newton stops, status
+    OK, once both steps are below PAIR_STEP_TOL relative to the stepped
+    point, which in its quadratic regime is at rounding level. It stops with
+    status NO_CONVERGE once a step below PAIR_NOISE_TOL does not shrink (the
+    rounding floor of an ill-conditioned Jacobian), or when max_iter steps
+    ran out. A full step can end worse than its start, so the residuals
+    returned are always ``residual_pair``'s at the returned point, and the
+    caller judges them. Returns (s, g, r1, r2, iterations, status).
     """
     s = s0
     g = g0
@@ -160,62 +183,56 @@ def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
         return s, g, np.inf, np.inf, 0, POLE
     if r1 < tol_eff and r2 < tol_eff:
         return s, g, r1, r2, 0, OK
-    for it in range(max_iter):
+    status = NO_CONVERGE
+    last_step = np.inf
+    it = 0
+    while it < max_iter:
+        it += 1
         sum0 = 0.0 + 0.0j
         sumt = 0.0 + 0.0j
         sum_t_d2 = 0.0 + 0.0j
         sum_u_d2 = 0.0 + 0.0j
         sum_tt_d2 = 0.0 + 0.0j
         sum_ut_d2 = 0.0 + 0.0j
-        pole = False
         for u_k, t_k, w_k in zip(u, t, w):
             d = 1.0 + u_k * g + t_k * s
             if abs(d) < POLE_EPS:
-                pole = True
-                break
-            d2 = d * d
-            sum0 += w_k / d
-            sumt += w_k * t_k / d
-            sum_t_d2 += w_k * t_k / d2
-            sum_u_d2 += w_k * u_k / d2
-            sum_tt_d2 += w_k * t_k * t_k / d2
-            sum_ut_d2 += w_k * u_k * t_k / d2
-        if pole:
-            return s, g, r1, r2, it, POLE
-        h1 = z + (1.0 - y) / s + (y / s) * sum0
-        h2 = z + 1.0 / g - y * sumt
-        j11 = -(1.0 - y) / (s * s) - (y / (s * s)) * sum0 - (y / s) * sum_t_d2
-        j12 = -(y / s) * sum_u_d2
-        j21 = y * sum_tt_d2
-        j22 = -1.0 / (g * g) + y * sum_ut_d2
+                return s, g, np.inf, np.inf, it, POLE
+            wd = w_k / d
+            wd2 = wd / d
+            sum0 += wd
+            sumt += t_k * wd
+            sum_t_d2 += t_k * wd2
+            sum_u_d2 += u_k * wd2
+            sum_tt_d2 += t_k * t_k * wd2
+            sum_ut_d2 += u_k * t_k * wd2
+        f1 = z * s + (1.0 - y) + y * sum0
+        f2 = z * g + 1.0 - y * g * sumt
+        j11 = z - y * sum_t_d2
+        j12 = -y * sum_u_d2
+        j21 = y * g * sum_tt_d2
+        j22 = z - y * sumt + y * g * sum_ut_d2
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-30:
-            return s, g, r1, r2, it, SINGULAR
-        ds = (-h1 * j22 + h2 * j12) / det
-        dg = (-h2 * j11 + h1 * j21) / det
-        step = 1.0
-        improved = False
-        for _ in range(30):
-            s_new = s + step * ds
-            g_new = g + step * dg
-            if s_new.imag < 0.0:
-                s_new = complex(s_new.real, 1e-16)
-            if g_new.imag < 0.0:
-                g_new = complex(g_new.real, 1e-16)
-            q1, q2, st = residual_pair(z, s_new, g_new, u, t, w, y)
-            if st == OK and max(q1, q2) < max(r1, r2):
-                s = s_new
-                g = g_new
-                r1 = q1
-                r2 = q2
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            return s, g, r1, r2, it + 1, NO_CONVERGE
-        if r1 < tol_eff and r2 < tol_eff:
-            return s, g, r1, r2, it + 1, OK
-    return s, g, r1, r2, max_iter, NO_CONVERGE
+            status = SINGULAR
+            break
+        ds = (f2 * j12 - f1 * j22) / det
+        dg = (f1 * j21 - f2 * j11) / det
+        s += ds
+        g += dg
+        if s.imag < 0.0:
+            s = complex(s.real, 1e-16)
+        if g.imag < 0.0:
+            g = complex(g.real, 1e-16)
+        step = max(abs(ds) / abs(s), abs(dg) / abs(g)) if s and g else np.inf
+        if step <= PAIR_STEP_TOL:
+            status = OK
+            break
+        if step < PAIR_NOISE_TOL and step >= last_step:
+            break
+        last_step = step
+    r1, r2, pole = residual_pair(z, s, g, u, t, w, y)
+    return s, g, r1, r2, it, POLE if pole == POLE else status
 
 
 def constraint_residual(s, g, u, t, w, y):

@@ -6,10 +6,12 @@ primitive. ``solve_at`` runs one damped fixed point from s = g = -1/z and
 polishes it with Newton; it raises ConvergenceError when the fixed point
 fails. ``boundary_value`` solves the top rung of a ladder of heights the
 same way, then runs one Newton solve per rung, warm-started from the rung
-above, as the height shrinks by a decade per rung down to the real axis.
-A rung above the axis whose Newton result fails the residual or the
-upper-half-plane check raises ContinuationError; at the axis the last pair
-above it is returned instead.
+above, as the height shrinks by a factor LADDER_RATIO (three decades) per
+rung down to v_min and then the real axis. Newton solves the cleared
+system, which has no pole at s = 0, so a rung can span three decades even
+next to a support edge. A rung above the axis whose Newton result fails
+the residual or the upper-half-plane check raises ContinuationError; at
+the axis the last pair above it is returned instead.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ class SolveSettings:
     ladder. max_iter and damping are the iteration budget and the damping
     factor of the one fixed-point solve that starts ``solve_at`` and
     ``boundary_value``. boundary_value's ladder starts at height v_start and
-    divides it by LADDER_RATIO per rung down to v_min, the last height
-    above the axis; its pair is the fallback when the v = 0 Newton solve
+    divides it by LADDER_RATIO (1000) per rung, clamped to v_min, the last
+    height above the axis; with the defaults the rungs are 1, 1e-3, 1e-6
+    and 1e-8. The v_min pair is the fallback when the v = 0 Newton solve
     fails.
     """
 
@@ -61,7 +64,7 @@ class SolveSettings:
 DEFAULT_SETTINGS = SolveSettings()
 
 # boundary_value divides the height by this factor from one rung to the next
-LADDER_RATIO = 10.0
+LADDER_RATIO = 1000.0
 # Newton steps allowed per solve (a rung, or the polish after the fixed point)
 NEWTON_MAX_ITER = 50
 # Newton polishes toward settings.tol * POLISH_FACTOR
@@ -146,14 +149,16 @@ def _newton(z, cfg, settings, s0, g0):
     """Newton from (s0, g0) toward the polish target.
 
     Returns (pair, holds, polished): the pair Newton ended at; whether it
-    holds, that is both residuals are below K.effective_tol(settings.tol, z)
-    and both imaginary parts are non-negative; and whether Newton reached
-    K.effective_tol(settings.tol * POLISH_FACTOR, z). Both targets rise to
-    the rounding floor RESIDUAL_FLOOR * |z| for large |z|. Newton only
-    accepts steps that lower the residual, so it never ends worse than its
-    start. s0 and g0 reach the kernel unconverted. They are Python complex
-    at every call, from the ladder and from the fixed point alike: the atoms
-    are Python floats, so the kernels never make a numpy scalar.
+    holds, that is both residuals of the inverted system are below
+    K.effective_tol(settings.tol, z) and both imaginary parts are
+    non-negative; and whether Newton converged, its step falling to
+    rounding level, or started within K.effective_tol(settings.tol *
+    POLISH_FACTOR, z). Both targets rise to the rounding floor
+    RESIDUAL_FLOOR * |z| for large |z|. Newton takes full steps, so it can
+    end worse than its start; the caller keeps the start when the result
+    does not hold. s0 and g0 reach the kernel unconverted. They are Python
+    complex at every call, from the ladder and from the fixed point alike:
+    the atoms are Python floats, so the kernels never make a numpy scalar.
     """
     u, t, w = cfg.spectrum.columns
     s, g, r1, r2, _it, status = K.newton_pair(
@@ -171,8 +176,10 @@ def _newton(z, cfg, settings, s0, g0):
 def _cold(z, cfg, settings):
     """Damped fixed point from s = g = -1/z, then one Newton polish.
 
-    Raises ConvergenceError when the fixed point fails: its budget ran out
-    before both residuals fell below settings.tol, or a pole guard tripped.
+    The polished pair is returned when it holds, the fixed point's
+    otherwise. Raises ConvergenceError when the fixed point fails: its
+    budget ran out before both residuals fell below settings.tol, or a pole
+    guard tripped.
     """
     u, t, w = cfg.spectrum.columns
     start = -1.0 / z
@@ -182,7 +189,10 @@ def _cold(z, cfg, settings):
     )
     if status != K.OK:
         raise ConvergenceError(z, (float(r1), float(r2)), it)
-    return _newton(z, cfg, settings, s, g)[0]
+    polished, holds, _converged = _newton(z, cfg, settings, s, g)
+    if holds:
+        return polished
+    return StieltjesPair(z=complex(z), s_under=s, g_under=g)
 
 
 def solve_at(z: complex, cfg: ModelConfig, settings: SolveSettings = DEFAULT_SETTINGS) -> StieltjesPair:
@@ -219,23 +229,25 @@ def _ladder_heights(settings):
 def boundary_value(x: float, cfg: ModelConfig, settings: SolveSettings = DEFAULT_SETTINGS) -> StieltjesPair:
     """Real-axis limit of the solution pair at x != 0.
 
-    Walks a decade ladder of heights v_start, v_start/10, ..., clamped to
-    v_min, then v = 0. The first height is solved cold, as ``solve_at``
-    does; every later height is one Newton solve warm-started from the pair
-    one height up. A height above the axis whose pair does not hold (both
-    residuals below tol, both imaginary parts non-negative) raises
-    ContinuationError(x, v). When the v = 0 pair does not hold, the v_min
+    Walks a ladder of heights v_start, v_start/LADDER_RATIO, ..., clamped
+    to v_min, then v = 0: with the defaults 1, 1e-3, 1e-6, 1e-8 and 0. The
+    first height is solved cold, as ``solve_at`` does; every later height
+    is one Newton solve warm-started from the pair one height up. A height
+    above the axis whose pair does not hold (both residuals below tol, both
+    imaginary parts non-negative) raises ContinuationError(x, v). When the v = 0 pair does not hold, the v_min
     pair is returned: its ``z`` keeps Im z = v_min, which is how callers
     tell the fallback apart.
 
     Off the support the limit pair is real. When the imaginary parts of the
-    v = 0 pair are already a small fraction of the magnitudes, Newton solves
-    once more from its real parts, so the iterates stay exactly real. The
-    real pair replaces the complex one only when Newton polished it or its
-    residuals are no larger than the complex pair's. Next to a square-root
-    edge inside the support a real point's residual is of order (Im s)^2,
-    below tol within about 1e-11 of the edge, yet it stays above both of
-    those, so the complex pair is kept there.
+    v = 0 pair are already a small fraction rel_im of the magnitudes,
+    Newton solves once more from its real parts, so the iterates stay
+    exactly real. The real pair replaces the complex one only when it lies
+    within 10 * rel_im of it (relative, in both s and g), so a full Newton
+    step cannot carry the restart to another real root, and Newton
+    converged on it or its residuals are no larger than the complex pair's.
+    Next to a square-root edge inside the support a real point's residual
+    is of order (Im s)^2, below tol within about 1e-11 of the edge, yet it
+    stays above both of those, so the complex pair is kept there.
     """
     if x == 0.0:
         raise ValueError("boundary values are undefined at x = 0")
@@ -263,7 +275,11 @@ def boundary_value(x: float, cfg: ModelConfig, settings: SolveSettings = DEFAULT
         real, holds, polished = _newton(
             complex(x, 0.0), cfg, settings, complex(s.real, 0.0), complex(g.real, 0.0)
         )
-        if holds and (
+        near = max(
+            abs(real.s_under - s) / max(1.0, abs(s)),
+            abs(real.g_under - g) / max(1.0, abs(g)),
+        ) <= 10.0 * rel_im
+        if near and holds and (
             polished or max(residual_713(real, cfg)) <= max(residual_713(axis, cfg))
         ):
             return real

@@ -259,3 +259,57 @@ def largest_remainder_reference(weights, p: int) -> list[int]:
     for k in order[:rem]:
         counts[k] += 1
     return counts
+
+
+def mp_boundary_exact(x: float, y: float, dps: int = 50) -> complex:
+    """Real-axis limit of the pure-noise companion transform (sigma2 = 1) at
+    x > 0, from the closed form evaluated at dps digits.
+
+    The transform solves x*s^2 + (x + 1 - y)*s + 1 = 0. Inside the support
+    the discriminant is negative and the root with Im s > 0 is the limit;
+    below the support the limit is the root nearer -(1 - y)/x and above it
+    the root nearer -1/x, the two real roots meeting at the edges. The
+    discriminant (x + 1 - y)^2 - 4x is taken at dps digits, so there is no
+    cancellation next to an edge.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        xm = mpmath.mpf(x)
+        ym = mpmath.mpf(y)
+        b = xm + 1 - ym
+        disc = b * b - 4 * xm
+        if disc < 0:
+            s = (-b + 1j * mpmath.sqrt(-disc)) / (2 * xm)
+        elif xm > 1 + ym:
+            s = (-b + mpmath.sqrt(disc)) / (2 * xm)
+        else:
+            s = (-b - mpmath.sqrt(disc)) / (2 * xm)
+        return complex(s)
+
+
+def cleared_root(x: float, atoms, y: float, s0: complex, g0: complex, dps: int = 50):
+    """Root (s, g) of the cleared system at the real point z = x, by
+    mpmath.findroot at dps digits from (s0, g0):
+
+        z*s + (1 - y) + y*sum(w/d) = 0,
+        z*g + 1 - y*g*sum(w*t/d) = 0,   d = 1 + u*g + t*s,
+
+    over the atoms (u, t, w). These are the two equations of the inverted
+    system multiplied through by s and by g.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z = mpmath.mpf(x)
+        ym = mpmath.mpf(y)
+        terms = [(mpmath.mpf(u), mpmath.mpf(t), mpmath.mpf(w)) for u, t, w in atoms]
+
+        def system(s, g):
+            ds = [1 + u * g + t * s for u, t, _w in terms]
+            sum0 = sum(w / d for (_u, _t, w), d in zip(terms, ds))
+            sumt = sum(w * t / d for (_u, t, w), d in zip(terms, ds))
+            return [z * s + (1 - ym) + ym * sum0, z * g + 1 - ym * g * sumt]
+
+        s, g = mpmath.findroot(system, (mpmath.mpc(s0), mpmath.mpc(g0)))
+        return complex(s), complex(g)

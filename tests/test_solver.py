@@ -24,9 +24,12 @@ from specsep import (
 from specsep import _kernels as K
 
 from oracles import (
+    cleared_root,
     mp_boundary_companion,
+    mp_boundary_exact,
     mp_companion_transform,
     mp_density,
+    mp_edges,
     mp_transform,
 )
 
@@ -184,8 +187,8 @@ class TestBoundaryValue:
         assert r1 < settings.tol and r2 < settings.tol
 
     def test_rejected_rung_above_axis_raises(self, mp_config, monkeypatch):
-        # Newton never moves: the polish after the cold fixed point keeps its
-        # pair, and the first Newton rung, at v = 0.1, is rejected
+        # Newton never moves: the cold top rung keeps the fixed point's pair,
+        # and the first Newton rung, at v = 1e-3, is rejected
         def no_newton(z, u, t, w, y, s0, g0, tol, max_iter):
             return s0, g0, np.inf, np.inf, 0, K.NO_CONVERGE
 
@@ -193,7 +196,7 @@ class TestBoundaryValue:
         with pytest.raises(ContinuationError) as info:
             boundary_value(1.0, mp_config)
         assert info.value.x == 1.0
-        assert info.value.v == 0.1
+        assert info.value.v == 1e-3
 
     def test_rejected_axis_rung_returns_v_min_pair(self, mp_config, monkeypatch):
         heights = []
@@ -208,17 +211,17 @@ class TestBoundaryValue:
         monkeypatch.setattr(K, "newton_pair", no_newton_on_axis)
         settings = SolveSettings()
         pair = boundary_value(1.0, mp_config, settings)
-        # the cold top rung's polish, one Newton rung per decade, the axis
-        assert heights == [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.0]
+        # the cold top rung's polish, one Newton rung per three decades
+        # clamped to v_min, the axis
+        assert heights == [1.0, 1e-3, 1e-6, 1e-8, 0.0]
         assert pair.z == complex(1.0, settings.v_min)
         oracle = mp_companion_transform(pair.z, 0.25)
         assert abs(pair.s_under - oracle) < 1e-9
         assert abs(pair.g_under - oracle) < 1e-9
 
-    @pytest.mark.xfail(strict=True, raises=ContinuationError, reason=(
-        "Newton at v = 1e-5, warm-started from the v = 1e-4 rung, ends NO_CONVERGE "
-        "with residuals (7.2e-5, 4.1e-5); a cold solve there converges"))
     def test_continuation_reaches_the_axis_just_above_the_lowest_edge(self):
+        # s_under tends to 0 next to this edge, where the inverted system has
+        # a pole; Newton on it stalled at v = 1e-5 and raised ContinuationError
         cfg = ModelConfig(
             JointSpectrum.from_atoms([(2.460203074985227, 0.28214932290242284, 0.5),
                                       (7.178562002415245, 1.4208890122955642, 0.5)]),
@@ -228,6 +231,73 @@ class TestBoundaryValue:
         pair = boundary_value(edge * (1.0 + 1e-7), cfg)
         r1, r2 = residual_713(pair, cfg)
         assert r1 < SolveSettings().tol and r2 < SolveSettings().tol
+
+    def test_restart_keeps_the_complex_pair_next_to_an_edge(self):
+        # 1e-8 relative inside the support: a full Newton step from the real
+        # parts of the axis pair lands on another real root, s = -0.39606,
+        # which the restart must not take
+        atoms = [(2.8847645328862583, 1.6772293411886203, 0.9343778502418449),
+                 (1.6551555556722852, 0.6717943504053682, 0.06562214975815507)]
+        y = 0.1563597045482053
+        x = 2.272164941200283 * (1.0 + 1e-8)
+        pair = boundary_value(x, ModelConfig(JointSpectrum.from_atoms(atoms), y))
+        assert pair.z == complex(x, 0.0)
+        assert pair.s_under.imag > 0.0 and pair.g_under.imag > 0.0
+        s, g = cleared_root(x, atoms, y, pair.s_under, pair.g_under)
+        assert s.imag > 0.0
+        assert abs(pair.s_under - s) <= 1e-9 * abs(s)
+        assert abs(pair.g_under - g) <= 1e-9 * abs(g)
+
+    def test_three_decade_rungs_reach_the_axis_next_to_an_edge(self):
+        # 1e-4 relative below an edge; Newton on the inverted system, with its
+        # residual-decrease line search, stalls on the rung from 1 to 1e-3
+        atoms = [(6.913999656943246, 3.5040007649222145, 1.0)]
+        y = 0.6863224745578402
+        x = 1.0874280562838077 * (1.0 - 1e-4)
+        cfg = ModelConfig(JointSpectrum.from_atoms(atoms), y)
+        pair = boundary_value(x, cfg)
+        assert pair.z == complex(x, 0.0)
+        r1, r2 = residual_713(pair, cfg)
+        assert r1 < SolveSettings().tol and r2 < SolveSettings().tol
+        s, g = cleared_root(x, atoms, y, pair.s_under, pair.g_under)
+        assert abs(pair.s_under - s) <= 1e-10 * abs(s)
+        assert abs(pair.g_under - g) <= 1e-10 * abs(g)
+
+    @pytest.mark.parametrize("edge", mp_edges(0.25))
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_matches_closed_form_mp_next_to_both_edges(self, mp_config, edge, side):
+        for k in range(2, 11):
+            x = edge * (1.0 + side * 10.0**-k)
+            pair = boundary_value(x, mp_config)
+            exact = mp_boundary_exact(x, 0.25)
+            assert abs(pair.s_under - exact) <= 1e-9 * abs(exact), x
+
+    def test_matches_a_50_digit_solve_next_to_an_edge(self):
+        # accepting a pair on residuals below tol left s = -14.4164 off by
+        # 1.2e-8 relative here, where the Jacobian is nearly singular
+        atoms = [(0.0, 0.6475063434939468, 1.0)]
+        y = 0.797219982920943
+        x = 0.007431080281877526
+        pair = boundary_value(x, ModelConfig(JointSpectrum.from_atoms(atoms), y))
+        assert pair.s_under.imag >= 0.0 and pair.g_under.imag >= 0.0
+        s, g = cleared_root(x, atoms, y, pair.s_under, pair.g_under)
+        assert s.imag >= 0.0 and g.imag >= 0.0
+        assert abs(pair.s_under - s) <= 1e-10 * abs(s)
+        assert abs(pair.g_under - g) <= 1e-10 * abs(g)
+
+    def test_cold_solve_keeps_the_fixed_point_pair_when_the_polish_fails(
+        self, mp_config, monkeypatch
+    ):
+        # a full Newton step can end worse than its start
+        def worse_newton(z, u, t, w, y, s0, g0, tol, max_iter):
+            return s0 + 1.0, g0 + 1.0, 1.0, 1.0, max_iter, K.NO_CONVERGE
+
+        monkeypatch.setattr(K, "newton_pair", worse_newton)
+        z = 1.0 + 1.0j
+        pair = solve_at(z, mp_config)
+        oracle = mp_companion_transform(z, 0.25)
+        assert abs(pair.s_under - oracle) < 1e-8
+        assert abs(pair.g_under - oracle) < 1e-8
 
     def test_failed_fixed_point_raises(self, mp_config, monkeypatch):
         def no_fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
