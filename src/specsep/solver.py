@@ -5,9 +5,10 @@ distribution through atom denominators 1 + u*g + t*s. There is one solve
 primitive. ``solve_at`` runs one damped fixed point from s = g = -1/z and
 polishes it with Newton; it raises ConvergenceError when the fixed point
 fails. ``boundary_value`` solves the top rung of a ladder of heights the
-same way, then runs one Newton solve per rung, warm-started from the rung
-above, as the height shrinks by a factor LADDER_RATIO (three decades) per
-rung down to v_min and then the real axis. Newton solves the cleared
+same way, or by one Newton solve from a neighbouring point's top rung when
+it is given one, then runs one Newton solve per rung, warm-started from the
+rung above, as the height shrinks by a factor LADDER_RATIO (three decades)
+per rung down to v_min and then the real axis. Newton solves the cleared
 system, which has no pole at s = 0, so a rung can span three decades even
 next to a support edge. A rung above the axis whose Newton result fails
 the residual or the upper-half-plane check raises ContinuationError; at
@@ -16,7 +17,7 @@ the axis the last pair above it is returned instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,17 +68,28 @@ DEFAULT_SETTINGS = SolveSettings()
 LADDER_RATIO = 1000.0
 # Newton steps allowed per solve (a rung, or the polish after the fixed point)
 NEWTON_MAX_ITER = 50
+# Newton steps allowed to boundary_value's real-part restart, which from a
+# point inside the support has no real root to reach
+RESTART_MAX_ITER = 8
 # Newton polishes toward settings.tol * POLISH_FACTOR
 POLISH_FACTOR = 1e-4
 
 
 @dataclass(frozen=True)
 class StieltjesPair:
-    """Solution pair (s_under, g_under) of the inverted system at a point z."""
+    """Solution pair (s_under, g_under) of the inverted system at a point z.
+
+    A pair returned by ``boundary_value`` also carries ``top``, the pair of
+    its ladder's top rung, which is the warm start ``near`` for the next
+    point of a grid, and ``cold_top``, whether that rung was solved cold.
+    Neither takes part in comparisons.
+    """
 
     z: complex
     s_under: complex
     g_under: complex
+    top: StieltjesPair | None = field(default=None, compare=False, repr=False)
+    cold_top: bool = field(default=False, compare=False, repr=False)
 
 
 def residual_713(pair: StieltjesPair, cfg: ModelConfig) -> tuple[float, float]:
@@ -145,8 +157,9 @@ def constraint_residual(pair: StieltjesPair, cfg: ModelConfig) -> float:
     )
 
 
-def _newton(z, cfg, settings, s0, g0):
-    """Newton from (s0, g0) toward the polish target.
+def _newton(z, cfg, settings, s0, g0, max_iter=NEWTON_MAX_ITER):
+    """Newton from (s0, g0) toward the polish target, in at most max_iter
+    steps.
 
     Returns (pair, holds, polished): the pair Newton ended at; whether it
     holds, that is both residuals of the inverted system are below
@@ -163,7 +176,7 @@ def _newton(z, cfg, settings, s0, g0):
     u, t, w = cfg.spectrum.columns
     s, g, r1, r2, _it, status = K.newton_pair(
         complex(z), u, t, w, cfg.y, s0, g0,
-        settings.tol * POLISH_FACTOR, NEWTON_MAX_ITER,
+        settings.tol * POLISH_FACTOR, max_iter,
     )
     holds = (
         max(r1, r2) < K.effective_tol(settings.tol, z)
@@ -226,61 +239,79 @@ def _ladder_heights(settings):
         v = max(settings.v_start / LADDER_RATIO**k, settings.v_min)
 
 
-def boundary_value(x: float, cfg: ModelConfig, settings: SolveSettings = DEFAULT_SETTINGS) -> StieltjesPair:
+def boundary_value(
+    x: float,
+    cfg: ModelConfig,
+    settings: SolveSettings = DEFAULT_SETTINGS,
+    near: StieltjesPair | None = None,
+) -> StieltjesPair:
     """Real-axis limit of the solution pair at x != 0.
 
     Walks a ladder of heights v_start, v_start/LADDER_RATIO, ..., clamped
     to v_min, then v = 0: with the defaults 1, 1e-3, 1e-6, 1e-8 and 0. The
-    first height is solved cold, as ``solve_at`` does; every later height
-    is one Newton solve warm-started from the pair one height up. A height
-    above the axis whose pair does not hold (both residuals below tol, both
-    imaginary parts non-negative) raises ContinuationError(x, v). When the v = 0 pair does not hold, the v_min
-    pair is returned: its ``z`` keeps Im z = v_min, which is how callers
-    tell the fallback apart.
+    first height is solved by one Newton solve from near, the top-rung pair
+    of a neighbouring point (``density`` passes the previous grid point's),
+    when near is given and that Newton result holds; otherwise it is solved
+    cold, as ``solve_at`` does. Every later height is one Newton solve
+    warm-started from the pair one height up. A height above the axis whose
+    pair does not hold (both residuals below tol, both imaginary parts
+    non-negative) raises ContinuationError(x, v). When the v = 0 pair does
+    not hold, the v_min pair is returned: its ``z`` keeps Im z = v_min,
+    which is how callers tell the fallback apart. The returned pair carries
+    the top-rung pair in ``top`` and whether it was solved cold in
+    ``cold_top``.
 
     Off the support the limit pair is real. When the imaginary parts of the
     v = 0 pair are already a small fraction rel_im of the magnitudes,
-    Newton solves once more from its real parts, so the iterates stay
-    exactly real. The real pair replaces the complex one only when it lies
-    within 10 * rel_im of it (relative, in both s and g), so a full Newton
-    step cannot carry the restart to another real root, and Newton
-    converged on it or its residuals are no larger than the complex pair's.
-    Next to a square-root edge inside the support a real point's residual
-    is of order (Im s)^2, below tol within about 1e-11 of the edge, yet it
-    stays above both of those, so the complex pair is kept there.
+    Newton solves once more from its real parts, in at most
+    RESTART_MAX_ITER steps, so the iterates stay exactly real. The real
+    pair replaces the complex one only when it lies within 10 * rel_im of
+    it (relative, in both s and g), so a full Newton step cannot carry the
+    restart to another real root, and Newton converged on it or its
+    residuals are no larger than the complex pair's. Next to a square-root
+    edge inside the support a real point's residual is of order (Im s)^2,
+    below tol within about 1e-11 of the edge, yet it stays above both of
+    those, so the complex pair is kept there.
     """
     if x == 0.0:
         raise ValueError("boundary values are undefined at x = 0")
     heights = _ladder_heights(settings)
     v = next(heights)
-    try:
-        pair = _cold(complex(x, v), cfg, settings)
-    except ConvergenceError as exc:
-        raise ContinuationError(x, v) from exc
+    top, holds = None, False
+    if near is not None:
+        top, holds, _polished = _newton(complex(x, v), cfg, settings, near.s_under, near.g_under)
+    cold = not holds
+    if cold:
+        try:
+            top = _cold(complex(x, v), cfg, settings)
+        except ConvergenceError as exc:
+            raise ContinuationError(x, v) from exc
+    pair = top
     for v in heights:
         pair, holds, _polished = _newton(complex(x, v), cfg, settings, pair.s_under, pair.g_under)
         if not holds:
             raise ContinuationError(x, v)
 
+    result = pair
     axis, holds, _polished = _newton(complex(x, 0.0), cfg, settings, pair.s_under, pair.g_under)
-    if not holds:
-        return pair
-
-    s, g = axis.s_under, axis.g_under
-    rel_im = max(
-        abs(s.imag) / max(1.0, abs(s)),
-        abs(g.imag) / max(1.0, abs(g)),
-    )
-    if rel_im < 1e-3:
-        real, holds, polished = _newton(
-            complex(x, 0.0), cfg, settings, complex(s.real, 0.0), complex(g.real, 0.0)
+    if holds:
+        result = axis
+        s, g = axis.s_under, axis.g_under
+        rel_im = max(
+            abs(s.imag) / max(1.0, abs(s)),
+            abs(g.imag) / max(1.0, abs(g)),
         )
-        near = max(
-            abs(real.s_under - s) / max(1.0, abs(s)),
-            abs(real.g_under - g) / max(1.0, abs(g)),
-        ) <= 10.0 * rel_im
-        if near and holds and (
-            polished or max(residual_713(real, cfg)) <= max(residual_713(axis, cfg))
-        ):
-            return real
-    return axis
+        if rel_im < 1e-3:
+            real, holds, polished = _newton(
+                complex(x, 0.0), cfg, settings, complex(s.real, 0.0), complex(g.real, 0.0),
+                RESTART_MAX_ITER,
+            )
+            close = max(
+                abs(real.s_under - s) / max(1.0, abs(s)),
+                abs(real.g_under - g) / max(1.0, abs(g)),
+            ) <= 10.0 * rel_im
+            if close and holds and (
+                polished or max(residual_713(real, cfg)) <= max(residual_713(axis, cfg))
+            ):
+                result = real
+    return replace(result, top=top, cold_top=cold)

@@ -100,7 +100,10 @@ class DensityCurve:
 
     ``failed`` holds the indices whose continuation failed (NaN rows);
     ``vmin_fallbacks`` those whose real-axis polish failed, so the row
-    holds the pair at z = x + i*v_min instead of the limit on the axis.
+    holds the pair at z = x + i*v_min instead of the limit on the axis;
+    ``cold_starts`` those after the first whose top rung was solved cold,
+    because the Newton solve from the previous point's top rung did not
+    hold or no earlier point had given one.
     """
 
     grid: np.ndarray
@@ -111,6 +114,7 @@ class DensityCurve:
     spectrum: JointSpectrum
     failed: tuple[int, ...] = field(default=())
     vmin_fallbacks: tuple[int, ...] = field(default=())
+    cold_starts: tuple[int, ...] = field(default=())
 
     def mass(self) -> float:
         """Trapezoid mass over the grid, skipping failed points."""
@@ -381,6 +385,12 @@ def density(
     law carries an extra point mass (1-y) at zero). Failed points are
     flagged and reported as NaN, not fatal; points that kept their v_min
     pair are flagged too.
+
+    The points are solved in grid order, and each one's top rung is
+    continued from the last top-rung pair that held before it (a failed
+    point passes none on), so only the first point, and any point whose
+    warm start does not hold, runs the cold fixed point; the second kind
+    are listed in ``cold_starts``.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if np.any(grid == 0.0):
@@ -390,15 +400,20 @@ def density(
     g_vals = np.empty(grid.shape, dtype=np.complex128)
     failed = []
     vmin_fallbacks = []
+    cold_starts = []
+    near = None
     for i, x in enumerate(grid):
         try:
-            pair = boundary_value(float(x), cfg, settings)
+            pair = boundary_value(float(x), cfg, settings, near)
         except ContinuationError:
             failed.append(i)
             f[i] = np.nan
             s_vals[i] = np.nan
             g_vals[i] = np.nan
             continue
+        if pair.cold_top and i > 0:
+            cold_starts.append(i)
+        near = pair.top
         if pair.z.imag > 0.0:
             vmin_fallbacks.append(i)
         s_vals[i] = pair.s_under
@@ -407,7 +422,7 @@ def density(
     return DensityCurve(
         grid=grid, f=f, s_under=s_vals, g_under=g_vals,
         y=cfg.y, spectrum=cfg.spectrum, failed=tuple(failed),
-        vmin_fallbacks=tuple(vmin_fallbacks),
+        vmin_fallbacks=tuple(vmin_fallbacks), cold_starts=tuple(cold_starts),
     )
 
 

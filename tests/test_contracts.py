@@ -41,12 +41,16 @@ def test_sign_constancy_violation_reported(two_atom_config):
 def test_density_flags_failed_points(mp_config, monkeypatch):
     calls = {"n": 0}
     real = solver_mod.boundary_value
+    nears, tops = [], []
 
-    def flaky(x, cfg, settings=solver_mod.DEFAULT_SETTINGS):
+    def flaky(x, cfg, settings=solver_mod.DEFAULT_SETTINGS, near=None):
         calls["n"] += 1
+        nears.append(near)
         if calls["n"] == 2:
             raise ContinuationError(x, 1e-6)
-        return real(x, cfg, settings)
+        pair = real(x, cfg, settings, near)
+        tops.append(pair.top)
+        return pair
 
     monkeypatch.setattr(support_mod, "boundary_value", flaky)
     curve = density(mp_config, [0.8, 1.0, 1.2])
@@ -55,6 +59,10 @@ def test_density_flags_failed_points(mp_config, monkeypatch):
     assert np.isfinite(curve.f[0]) and np.isfinite(curve.f[2])
     # mass skips the flagged point instead of propagating NaN
     assert np.isfinite(curve.mass())
+    # the failed point does not break the chain: the point after it starts
+    # from the last top-rung pair that held, and that start holds
+    assert nears == [None, tops[0], tops[0]]
+    assert curve.cold_starts == ()
 
 
 def test_density_flags_vmin_fallbacks(mp_config, monkeypatch, tmp_path, capsys):
@@ -64,11 +72,11 @@ def test_density_flags_vmin_fallbacks(mp_config, monkeypatch, tmp_path, capsys):
     calls = {"n": 0}
     real = solver_mod.boundary_value
 
-    def polish_fails(x, cfg, settings=solver_mod.DEFAULT_SETTINGS):
+    def polish_fails(x, cfg, settings=solver_mod.DEFAULT_SETTINGS, near=None):
         calls["n"] += 1
         if calls["n"] == 2:
             return solver_mod.solve_at(complex(x, settings.v_min), cfg, settings)
-        return real(x, cfg, settings)
+        return real(x, cfg, settings, near)
 
     cfg_path = tmp_path / "mp.json"
     cfg_path.write_text(json.dumps({"y": 0.25, "spectrum": [{"u": 0.0, "t": 1.0, "weight": 1.0}]}))

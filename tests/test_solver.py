@@ -22,6 +22,7 @@ from specsep import (
 )
 
 from specsep import _kernels as K
+from specsep.solver import NEWTON_MAX_ITER, RESTART_MAX_ITER
 
 from oracles import (
     cleared_root,
@@ -247,6 +248,29 @@ class TestBoundaryValue:
         assert s.imag > 0.0
         assert abs(pair.s_under - s) <= 1e-9 * abs(s)
         assert abs(pair.g_under - g) <= 1e-9 * abs(g)
+
+    def test_restart_inside_the_support_stops_within_its_budget(self, monkeypatch):
+        # a near-edge point of LADDER_CORPUS.json, 1e-6 relative inside the
+        # support: the real-part restart has no real root nearby, and
+        # uncapped it ran Newton's whole budget before the guard rejected it
+        atoms = [(1.337796328562325, 0.8730061565048988, 1.0)]
+        y = 0.08245962756644058
+        x = 1.3007181163741348
+        steps = []
+        real = K.newton_pair
+
+        def counted(z, u, t, w, y, s0, g0, tol, max_iter):
+            result = real(z, u, t, w, y, s0, g0, tol, max_iter)
+            steps.append((z.imag == 0.0 and s0.imag == 0.0 and g0.imag == 0.0, result[4]))
+            return result
+
+        monkeypatch.setattr(K, "newton_pair", counted)
+        pair = boundary_value(x, ModelConfig(JointSpectrum.from_atoms(atoms), y))
+        restarts = [it for from_real, it in steps if from_real]
+        assert len(restarts) == 1
+        assert restarts[0] <= RESTART_MAX_ITER < NEWTON_MAX_ITER
+        assert pair.z == complex(x, 0.0)
+        assert pair.s_under.imag > 0.0 and pair.g_under.imag > 0.0
 
     def test_three_decade_rungs_reach_the_axis_next_to_an_edge(self):
         # 1e-4 relative below an edge; Newton on the inverted system, with its

@@ -28,6 +28,7 @@ from specsep.support import DEFAULT_N_GRID, GAP_IMAG_TOL, UNBOUNDED_SPAN
 from oracles import (
     TWO_ATOM_GAPS_Y001,
     TWO_ATOM_GAPS_Y005,
+    mp_boundary_exact,
     mp_density,
     mp_edges,
     mp_x_of_g,
@@ -569,6 +570,89 @@ class TestDensity:
     def test_rejects_zero_grid_point(self, mp_config):
         with pytest.raises(ValueError):
             density(mp_config, [0.0, 1.0])
+
+
+def mp_far_branch(z: complex, y: float) -> StieltjesPair:
+    """The second root of the pure-noise companion quadratic
+    z*s^2 + (z + 1 - y)*s + 1 = 0 at z, with g = s: it solves the inverted
+    system but lies in the lower half-plane."""
+    s = complex(min(np.roots([z, z + 1.0 - y, 1.0]), key=lambda r: r.imag))
+    return StieltjesPair(z=z, s_under=s, g_under=s)
+
+
+class TestDensityContinuation:
+    """Each grid point's top rung continues from the previous point's."""
+
+    MP_GRID = np.linspace(0.2501, 2.2499, 200)
+
+    @staticmethod
+    def assert_matches_cold(cfg, grid):
+        curve = density(cfg, grid)
+        assert not curve.failed and not curve.vmin_fallbacks and not curve.cold_starts
+        for x, s, g in zip(grid, curve.s_under, curve.g_under):
+            cold = boundary_value(float(x), cfg)
+            assert abs(s - cold.s_under) <= 1e-13 * abs(cold.s_under), x
+            assert abs(g - cold.g_under) <= 1e-13 * abs(cold.g_under), x
+
+    def test_mp_grid_matches_closed_form(self, mp_config):
+        curve = density(mp_config, self.MP_GRID)
+        for x, s in zip(self.MP_GRID, curve.s_under):
+            exact = mp_boundary_exact(float(x), 0.25)
+            assert abs(s - exact) <= 1e-12 * abs(exact), x
+
+    def test_mp_grid_matches_cold_solves(self, mp_config):
+        self.assert_matches_cold(mp_config, self.MP_GRID)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_two_atom_grid_matches_cold_solves(self, two_atom_config, reverse):
+        # through both support pieces and the gaps around them
+        grid = np.linspace(0.05, 12.0, 200)
+        self.assert_matches_cold(two_atom_config, grid[::-1] if reverse else grid)
+
+    def test_grid_running_into_the_support_matches_cold_solves(self, mp_config):
+        # from the real pairs of the gap (0, 0.25) across the lower edge
+        self.assert_matches_cold(mp_config, np.linspace(0.05, 1.0, 100))
+
+    def test_one_cold_fixed_point_per_grid(self, mp_config, monkeypatch):
+        calls = []
+        real = K.fixed_point
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(K, "fixed_point", counted)
+        density(mp_config, self.MP_GRID)
+        assert calls == [complex(self.MP_GRID[0], 1.0)]
+
+    def test_warm_start_that_does_not_hold_falls_back_to_the_cold_solve(self, mp_config):
+        # Newton returns the far branch unchanged, its residuals being at
+        # rounding level, and its Im s < 0 rejects it
+        x = 1.0
+        far = mp_far_branch(complex(x, 1.0), 0.25)
+        assert far.s_under.imag < 0.0
+        pair = boundary_value(x, mp_config, near=far)
+        cold = boundary_value(x, mp_config)
+        assert pair == cold
+        assert pair.cold_top and pair.top == cold.top
+        assert boundary_value(x, mp_config, near=cold.top).cold_top is False
+
+    def test_rejected_warm_start_is_listed(self, mp_config, monkeypatch):
+        real = support.boundary_value
+
+        def far_at_third(x, cfg, settings, near):
+            if x == grid[2]:
+                near = mp_far_branch(complex(x, settings.v_start), cfg.y)
+            return real(x, cfg, settings, near)
+
+        grid = np.linspace(0.5, 2.0, 6)
+        monkeypatch.setattr(support, "boundary_value", far_at_third)
+        curve = density(mp_config, grid)
+        assert curve.cold_starts == (2,)
+        assert not curve.failed and not curve.vmin_fallbacks
+        # the cold fallback gives the cold value itself
+        cold = boundary_value(float(grid[2]), mp_config)
+        assert (curve.s_under[2], curve.g_under[2]) == (cold.s_under, cold.g_under)
 
 
 class TestGapVsY:
