@@ -267,20 +267,51 @@ def report(points, grids, change, base, skipped):
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def parse_args(doc: str, argv=None) -> argparse.Namespace:
+    """--baseline and --out, and the hidden --points and --src of child mode."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--baseline", help="root of the baseline checkout")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--points", help=argparse.SUPPRESS)
     parser.add_argument("--src", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
-    if args.points:
-        # child mode: solve the given points and grids with the package under --src
-        with open(args.points, encoding="utf-8") as fh:
-            corpus = json.load(fh)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(evaluate(args.src, corpus["points"], corpus["grids"]), fh)
+
+def serve_child(args, evaluate) -> bool:
+    """In child mode (--points given), write ``evaluate(src, corpus)`` of the
+    corpus in the --points file, with the package under --src, to --out.
+    Returns whether it ran."""
+    if not args.points:
+        return False
+    with open(args.points, encoding="utf-8") as fh:
+        corpus = json.load(fh)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(evaluate(args.src, corpus), fh)
+    return True
+
+
+def run_baseline(script: str, baseline: str, corpus) -> dict:
+    """The result of script's child mode on corpus, run in a child process
+    with the package of the baseline checkout (a second copy of the package
+    cannot share this process)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        pts_file = os.path.join(tmp, "points.json")
+        res_file = os.path.join(tmp, "results.json")
+        with open(pts_file, "w", encoding="utf-8") as fh:
+            json.dump(corpus, fh)
+        subprocess.run(
+            [sys.executable, os.path.abspath(script), "--points", pts_file,
+             "--src", os.path.join(os.path.abspath(baseline), "src"),
+             "--out", res_file],
+            check=True,
+        )
+        with open(res_file, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+def main(argv=None) -> int:
+    args = parse_args(__doc__, argv)
+    if serve_child(args, lambda src, c: evaluate(src, c["points"], c["grids"])):
         return 0
 
     src = os.path.join(ROOT, "src")
@@ -289,19 +320,7 @@ def main(argv=None) -> int:
     change = evaluate(src, points, grids)
     base = None
     if args.baseline:
-        with tempfile.TemporaryDirectory() as tmp:
-            pts_file = os.path.join(tmp, "points.json")
-            res_file = os.path.join(tmp, "results.json")
-            with open(pts_file, "w", encoding="utf-8") as fh:
-                json.dump({"points": points, "grids": grids}, fh)
-            subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--points", pts_file,
-                 "--src", os.path.join(os.path.abspath(args.baseline), "src"),
-                 "--out", res_file],
-                check=True,
-            )
-            with open(res_file, encoding="utf-8") as fh:
-                base = json.load(fh)
+        base = run_baseline(__file__, args.baseline, {"points": points, "grids": grids})
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report(points, grids, change, base, skipped), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -14,8 +14,8 @@ coupling constraint from one batched eigenvalue call on companion matrices
 and keeps the admissible one. On 4,000 grid points it takes 11 ms on atoms
 {(0,1,1/2), (8,1,1/2)} at y = 0.1 and 2.8 ms on a signal-free model (medians
 on a shared 2-core host, where the branch walk it replaced took 28 and
-17 ms), and ``find_gaps`` on the two-atom model makes 33 ``branch`` and 88
-``phi`` calls: 4 in its one sweep, the rest in edge refinement.
+17 ms). ``find_gaps`` on the two-atom model makes 4 ``phi`` calls in its one
+sweep and 132 ``branch`` calls (167 ``phi``) refining its 4 edges.
 
 Kernels call each other through this module's globals (``phi`` inside
 ``solve_s`` and ``real_roots``, ``real_roots`` inside ``sweep``, ...), never
@@ -355,6 +355,24 @@ def branch(g, u, t, w, y, s_center):
     return s, x, dx_dg, s_prime, OK
 
 
+def admissible(g, s, dx_dg, s_prime):
+    """Whether real roots s of the coupling constraint at g bound a gap, elementwise.
+
+    In a gap, g(x) and s(x) are real Stieltjes transforms of probability
+    measures: they increase, and by Cauchy-Schwarz g'(x) >= g^2 and
+    s'(x) >= s^2. So a root is admissible when dx/dg > 0, s'(g) > 0,
+    g^2*dx/dg <= 1 and s'(g) >= s^2*dx/dg, the last within ROOT_RTOL
+    relative (it turns into an equality as x -> inf, below rounding when
+    y*|g| is small). NaN is not admissible.
+    """
+    return (
+        (dx_dg > 0.0)
+        & (s_prime > 0.0)
+        & (dx_dg <= 1.0 / (g * g))
+        & (s * s * dx_dg <= (1.0 + ROOT_RTOL) * s_prime)
+    )
+
+
 def _times_linear(p, a, b):
     """Coefficient rows (highest power first) of p(s)*(a*s + b), row by row."""
     out = np.zeros((p.shape[0], p.shape[1] + 1))
@@ -374,12 +392,7 @@ def real_roots(gs, u, t, w, y):
     Newton steps on the rational phi then undo the loss of accuracy from
     clearing, which is worst where two atoms' poles nearly coincide.
 
-    In a gap, g(x) and s(x) are real Stieltjes transforms of probability
-    measures: they increase, and by Cauchy-Schwarz g'(x) >= g^2 and
-    s'(x) >= s^2. A root is admissible, a boundary pair of a gap, when all
-    four hold at it: dx/dg > 0, s'(g) > 0, g^2*dx/dg <= 1 and
-    s'(g) >= s^2*dx/dg, the last within ROOT_RTOL relative (it turns into an
-    equality as x -> inf, below rounding when y*|g| is small).
+    Each root is tested by ``admissible``.
 
     Returns (s, x, dx_dg, admissible), arrays of shape (len(gs), m + 1): row
     i holds grid point i's roots, with NaN in place of complex ones.
@@ -407,13 +420,8 @@ def real_roots(gs, u, t, w, y):
         for _ in range(POLISH_STEPS):
             s = s - phi(g, s, u, t, w, y) / branch_terms(g, s, u, t, w, y)[3]
         x, dx_dg, s_prime, _phi_s = branch_terms(g, s, u, t, w, y)
-        admissible = (
-            (dx_dg > 0.0)
-            & (s_prime > 0.0)
-            & (dx_dg <= 1.0 / (g * g))
-            & (s * s * dx_dg <= (1.0 + ROOT_RTOL) * s_prime)
-        )
-    return s, x, dx_dg, admissible
+        admitted = admissible(g, s, dx_dg, s_prime)
+    return s, x, dx_dg, admitted
 
 
 def sweep(gs, u, t, w, y):
@@ -430,12 +438,12 @@ def sweep(gs, u, t, w, y):
     every array but status.
     """
     u, t, w = (np.asarray(a, dtype=np.float64) for a in (u, t, w))
-    s, x, dx_dg, admissible = real_roots(gs, u, t, w, y)
-    x_lo = np.where(admissible, x, np.inf).min(axis=1)
-    x_hi = np.where(admissible, x, -np.inf).max(axis=1)
-    ok = admissible.any(axis=1) & (x_hi - x_lo <= ROOT_RTOL * np.abs(x_lo))
+    s, x, dx_dg, admitted = real_roots(gs, u, t, w, y)
+    x_lo = np.where(admitted, x, np.inf).min(axis=1)
+    x_hi = np.where(admitted, x, -np.inf).max(axis=1)
+    ok = admitted.any(axis=1) & (x_hi - x_lo <= ROOT_RTOL * np.abs(x_lo))
     with np.errstate(all="ignore"):
-        residual = np.where(admissible, np.abs(phi(gs[:, None], s, u, t, w, y)), np.inf)
+        residual = np.where(admitted, np.abs(phi(gs[:, None], s, u, t, w, y)), np.inf)
     rows = np.arange(gs.shape[0])
     best = np.argmin(residual, axis=1)
     s, x, dx_dg = (np.where(ok, a[rows, best], np.nan) for a in (s, x, dx_dg))

@@ -52,10 +52,6 @@ class BracketError(SolverError):
     """No real root reached on the branch: Newton left its pole-free interval or stalled."""
 
 
-class CoarseGridError(SpecsepError):
-    """Sweep grid too coarse to resolve a sign pattern; raise n_grid."""
-
-
 class GapTrackingError(SpecsepError):
     """A tracked gap closed, jumped, or broke monotonicity across aspect ratios."""
 

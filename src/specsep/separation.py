@@ -18,7 +18,7 @@ import numpy as np
 from .exceptions import NotInGapError, SignConstancyError
 from .solver import DEFAULT_SETTINGS, SolveSettings, boundary_value
 from .spectrum import ModelConfig
-from .support import GAP_IMAG_TOL, UNBOUNDED_SPAN, SpectralGap
+from .support import GAP_IMAG_TOL, SpectralGap
 
 CONVENTIONS = ("derivation", "theorem")
 
@@ -84,9 +84,8 @@ def predict_counts(
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     pairs = tuple((float(u), float(t)) for u, t in pairs)
-    b_eff = gap.b if not gap.unbounded else gap.a + UNBOUNDED_SPAN
-    delta = 1e-3 * (b_eff - gap.a)
-    xs = np.linspace(gap.a + delta, b_eff - delta, n_samples)
+    delta = 1e-3 * (gap.finite_b - gap.a)
+    xs = np.linspace(gap.a + delta, gap.finite_b - delta, n_samples)
 
     h_rows = np.vstack([h_values(pairs, x, cfg, settings) for x in xs])
     above = h_rows > -1.0

@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import SpectrumError
 from .separation import CONVENTIONS
 from .spectrum import JointSpectrum, materialize_pairs, validate
-from .support import UNBOUNDED_SPAN, SpectralGap
+from .support import SpectralGap
 
 NOISE_LAWS = ("standard_gaussian", "rademacher", "uniform_standardized")
 
@@ -210,8 +210,7 @@ def counting_interval(gap: SpectralGap) -> tuple[float, float]:
     beyond that finite proxy.
     """
     if gap.unbounded:
-        b_eff = gap.a + UNBOUNDED_SPAN
-        return gap.a + INSET_FRACTION * (b_eff - gap.a), b_eff
+        return gap.a + INSET_FRACTION * (gap.finite_b - gap.a), gap.finite_b
     delta = INSET_FRACTION * gap.width
     return gap.a + delta, gap.b - delta
 

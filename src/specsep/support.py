@@ -14,19 +14,16 @@ and s(x) are real Stieltjes transforms, so dx/dg > 0, s'(g) > 0 and the
 Cauchy-Schwarz bounds g'(x) >= g^2 and s'(x) >= s^2 hold there. Which root
 Newton would reach from some start plays no part. A run end at an end of
 the grid is set by its index alone (``find_gaps``); every other run end is
-refined against its grid neighbour. If the neighbour's real root nearest the
-run end's tangent keeps the run's denominator signs and has dx/dg <= 0, the
-cell brackets the edge, and Brent's method on dx/dg refines it (``_brent``,
-a port of scipy's brentq, so the package needs numpy alone), each
-evaluation seeded on the chord across the cell so it stays on the run's
-root. Otherwise, or when a seeded evaluation finds no root because the
-neighbour's root lies on another branch, the cell holds a fold, and
-bisection on admissibility closes on the edge. Each reported gap is then
+refined inside the cell to its grid neighbour by one routine,
+``_refine_edge``: bisection on the same four tests (``_kernels.admissible``),
+each point solved by one scalar Newton solve (``_kernels.branch``) seeded on
+the tangent at the last admissible point, so an edge at a stationary point
+of x and one next to a fold are found alike. Each reported gap is then
 checked once against ``boundary_value`` at its midpoint; a pair that is not
-real there raises NotInGapError. The four tests are necessary conditions, measured but not
-proved sufficient, and the check catches only a reported gap whose midpoint
-lies in the support: it cannot see a wrong edge of a gap whose midpoint is
-right, nor a gap that was not reported.
+real there raises NotInGapError. The four tests are necessary conditions,
+measured but not proved sufficient, and the check catches only a reported
+gap whose midpoint lies in the support: it cannot see a wrong edge of a gap
+whose midpoint is right, nor a gap that was not reported.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import numpy as np
 from . import _kernels as K
 from .exceptions import (
     BracketError,
-    CoarseGridError,
     ContinuationError,
     GapTrackingError,
     NotInGapError,
@@ -53,8 +49,8 @@ DEFAULT_G_INNER = 1e-6
 DEFAULT_N_GRID = 4000
 
 ROOT_RESIDUAL_TOL = 1e-12
-# An edge at a fold of the branch is located to this relative accuracy in g.
-FOLD_RTOL = 1e-12
+# Every refined edge is located to this relative accuracy in g.
+EDGE_RTOL = 1e-12
 # A boundary pair with |Im s| at or above this is not inside a gap.
 GAP_IMAG_TOL = 1e-6
 # Unbounded gaps (a, inf) are sampled on (a, a + UNBOUNDED_SPAN).
@@ -92,6 +88,11 @@ class SpectralGap:
     @property
     def unbounded(self) -> bool:
         return math.isinf(self.b)
+
+    @property
+    def finite_b(self) -> float:
+        """b, or the proxy end a + UNBOUNDED_SPAN of the unbounded gap."""
+        return self.a + UNBOUNDED_SPAN if self.unbounded else self.b
 
 
 @dataclass(frozen=True)
@@ -165,153 +166,34 @@ def x_of_g(g: float, cfg: ModelConfig) -> RealBranch:
     return RealBranch(g=float(g), s=float(s), x=float(x), dx_dg=float(dx_dg))
 
 
-def _seeded_branch(g, cell, u, t, w, y):
-    """Branch point at g inside a refined cell, seeded on the cell's chord.
-
-    cell = (g0, s0, g1, s1) holds a run end and its neighbour's root on the
-    same branch; Newton starts from the chord through them, so it stays on
-    that branch (a cold start from s = g can reach another real root).
-    Returns (x, dx_dg).
-    """
-    g0, s0, g1, s1 = cell
-    seed = s0 + (s1 - s0) / (g1 - g0) * (g - g0)
-    _s, x, dx_dg, _ds, status = K.branch(float(g), u, t, w, y, seed)
-    if status != K.OK:
-        raise CoarseGridError(
-            f"branch evaluation failed at g={g} while refining; raise n_grid"
-        )
-    return x, dx_dg
-
-
-def _brent(f, a, b, xtol, rtol, maxiter):
-    """Root of f on [a, b] by Brent's method.
-
-    A line-for-line translation of scipy's brentq
-    (scipy/optimize/Zeros/brentq.c, BSD-3; Brent 1973, ch. 4): the same sign
-    test on the sign bits of f(a) and f(b), the same sequence of f calls and
-    the same root. An exact zero at an end is returned at once. Raises
-    CoarseGridError when f(a) and f(b) share a sign bit, when f returns NaN
-    and when maxiter iterations do not converge.
-    """
-
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise CoarseGridError(f"f is NaN at {x} while refining; raise n_grid")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise CoarseGridError(f"no sign change inside [{a}, {b}]; raise n_grid")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise CoarseGridError(
-        f"no convergence within {maxiter} iterations inside [{a}, {b}]; raise n_grid"
-    )
-
-
-def _refine_stationary(cell, u, t, w, y):
-    """Root g* of dx/dg on a bracketing cell, via Brent on the branch kernel.
-
-    Returns (g*, x(g*)), both from branch evaluations seeded on the cell.
-    Raises CoarseGridError when dx/dg does not change sign on the cell.
-    """
-    g_left, g_right = sorted((cell[0], cell[2]))
-
-    def dxdg(g):
-        return _seeded_branch(g, cell, u, t, w, y)[1]
-
-    g_star = _brent(dxdg, g_left, g_right, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    return g_star, float(_seeded_branch(g_star, cell, u, t, w, y)[0])
-
-
 def _refine_edge(g_end, s_end, g_next, u, t, w, y):
     """Edge between the run end g_end and its grid neighbour g_next outside the run.
 
-    If the real root at g_next nearest the run end's tangent
-    s_end + s'(g_end)*(g_next - g_end) keeps the run end's denominator signs
-    and has dx/dg <= 0, the cell brackets a stationary point of x and Brent
-    refines it. Otherwise, or when Brent's chord-seeded evaluations leave
-    the branch (that root lies on another branch, past a fold in the same
-    cell), the cell holds a fold: bisection on admissibility, with the run
-    end's denominator signs, closes on the end of admissibility, a fold or a
-    stationary point, to FOLD_RTOL relative in g and returns its last
-    admissible point. Returns (g, x).
+    Bisection on admissibility: g is inside the run when ``K.branch``, seeded
+    on the tangent at the last point inside, returns OK with a root that
+    ``K.admissible`` admits and that keeps the run end's denominator signs.
+    Admissibility ends where dx/dg = 0, also next to a fold (on the way to
+    one s' -> +inf and dx/dg -> -inf). Returns (g, x) of the last point
+    inside once the cell is below EDGE_RTOL relative in g; x is stationary
+    there, so exact to rounding.
     """
-    u_arr, t_arr = np.array(u), np.array(t)
-    signs = 1.0 + u_arr * g_end + t_arr * s_end > 0.0
-
-    def roots_on_run(g):
-        # the real roots at g and which of them keep the run end's signs
-        s, x, dx, admissible = (a[0] for a in K.real_roots(np.array([g]), u, t, w, y))
-        same = np.all((1.0 + u_arr * g + t_arr * s[:, None] > 0.0) == signs, axis=1)
-        return s, x, dx, admissible, same
-
-    x_end, _dx, ds_end, _phi_s = K.branch_terms(g_end, s_end, u, t, w, y)
-    s, _x, dx, _admissible, same = roots_on_run(g_next)
-    if np.any(np.isfinite(s)):
-        j = np.nanargmin(np.abs(s - (s_end + ds_end * (g_next - g_end))))
-        if same[j] and dx[j] <= 0.0:
-            try:
-                return _refine_stationary((g_end, s_end, g_next, s[j]), u, t, w, y)
-            except CoarseGridError:
-                pass  # the neighbour's root is on another branch: bisect
-    lo, x_lo, hi = float(g_end), float(x_end), float(g_next)
-    while abs(hi - lo) > FOLD_RTOL * abs(lo):
-        g = 0.5 * (lo + hi)
-        _s, x, _dx, admissible, same = roots_on_run(g)
-        inside = admissible & same
-        if np.any(inside):
-            lo, x_lo = g, float(x[np.argmax(inside)])
+    g_in, s_in, g_out = float(g_end), float(s_end), float(g_next)
+    x_in, _dx, ds_in, _phi_s = K.branch_terms(g_in, s_in, u, t, w, y)
+    signs = [1.0 + u_k * g_in + t_k * s_in > 0.0 for u_k, t_k in zip(u, t)]
+    while abs(g_out - g_in) > EDGE_RTOL * abs(g_in):
+        g = 0.5 * (g_in + g_out)
+        s, x, dx_dg, ds_dg, status = K.branch(g, u, t, w, y, s_in + ds_in * (g - g_in))
+        inside = status == K.OK and K.admissible(g, s, dx_dg, ds_dg)
+        if inside and signs == [1.0 + u_k * g + t_k * s > 0.0 for u_k, t_k in zip(u, t)]:
+            g_in, s_in, x_in, ds_in = g, s, x, ds_dg
         else:
-            hi = g
-    return lo, x_lo
+            g_out = g
+    return g_in, x_in
 
 
 def _check_gap(gap: SpectralGap, cfg: ModelConfig) -> None:
     """Raise NotInGapError unless the boundary pair is real mid-gap."""
-    x = gap.a + 0.5 * UNBOUNDED_SPAN if gap.unbounded else 0.5 * (gap.a + gap.b)
+    x = 0.5 * (gap.a + gap.finite_b)
     pair = boundary_value(x, cfg)
     if abs(pair.s_under.imag) >= GAP_IMAG_TOL:
         raise NotInGapError(
@@ -331,13 +213,13 @@ def find_gaps(cfg: ModelConfig, n_grid: int = DEFAULT_N_GRID) -> list[SpectralGa
     clamped to a = 0 (x -> 0+ as g -> -inf), the run reaching g -> 0- gives
     the unbounded gap (b = +inf), the ends of the positive half stay at
     their grid points, and every other end is refined (``_refine_edge``) to
-    a stationary point of x or, where a fold cuts the run short, to the end
-    of admissibility (FOLD_RTOL relative in g). Runs with x <= 0 (the
+    the stationary point of x where admissibility ends, to EDGE_RTOL
+    relative in g, by scalar ``K.branch`` solves. Runs with x <= 0 (the
     positive half) are dropped. The runs come in increasing g, and on every
     model tried the gaps they give come in increasing x (notes/decisions.md).
 
     Raises NotInGapError when the boundary pair at a reported gap's midpoint
-    (at a + UNBOUNDED_SPAN/2 for the unbounded gap) has |Im s| >=
+    (between a and ``finite_b`` for the unbounded gap) has |Im s| >=
     GAP_IMAG_TOL. That check only catches a gap whose midpoint lies in the
     support; it does not catch a wrong edge of a gap whose midpoint is
     right, or a gap that was not reported.

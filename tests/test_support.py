@@ -7,7 +7,6 @@ import pytest
 
 from specsep import (
     BracketError,
-    CoarseGridError,
     GapTrackingError,
     JointSpectrum,
     ModelConfig,
@@ -22,8 +21,7 @@ from specsep import (
 )
 from specsep import _kernels as K
 from specsep import support
-from specsep.spectrum import spectrum_arrays
-from specsep.support import DEFAULT_N_GRID, GAP_IMAG_TOL, UNBOUNDED_SPAN
+from specsep.support import DEFAULT_N_GRID, EDGE_RTOL, GAP_IMAG_TOL
 
 from oracles import (
     TWO_ATOM_GAPS_Y001,
@@ -34,8 +32,10 @@ from oracles import (
     mp_x_of_g,
     scan_bisect_root,
     scan_gaps,
+    two_atom_dx_dg,
     two_atom_gap_sweep,
     two_atom_s_of_g,
+    two_atom_x_of_g,
 )
 
 # (atoms, y, number of gaps) of models the sweep once got wrong
@@ -211,11 +211,11 @@ class TestFindGaps:
         assert len(gaps) == 2
         lo, hi = mp_edges(0.25)
         assert gaps[0].a == 0.0
-        assert gaps[0].b == pytest.approx(lo, abs=1e-8)
-        assert gaps[1].a == pytest.approx(hi, abs=1e-8)
+        assert gaps[0].b == pytest.approx(lo, rel=1e-14, abs=0.0)
+        assert gaps[1].a == pytest.approx(hi, rel=1e-14, abs=0.0)
         assert math.isinf(gaps[1].b)
-        assert gaps[0].g_b == pytest.approx(-2.0, abs=1e-9)
-        assert gaps[1].g_a == pytest.approx(-2.0 / 3.0, abs=1e-9)
+        assert gaps[0].g_b == pytest.approx(-2.0, rel=1e-11, abs=0.0)
+        assert gaps[1].g_a == pytest.approx(-2.0 / 3.0, rel=1e-11, abs=0.0)
 
     def test_mp_y_one_has_single_gap(self):
         cfg = ModelConfig(JointSpectrum.from_atoms([(0.0, 1.0, 1.0)]), 1.0)
@@ -342,7 +342,7 @@ class TestFindGaps:
         assert len(gaps) == n_gaps
         assert all(lo.b < hi.a for lo, hi in zip(gaps, gaps[1:]))
         for gap in gaps:
-            b = gap.a + UNBOUNDED_SPAN if gap.unbounded else gap.b
+            b = gap.finite_b
             inset = 0.05 * (b - gap.a)
             for x in np.linspace(gap.a + inset, b - inset, 9):
                 pair = boundary_value(float(x), cfg)
@@ -430,71 +430,61 @@ class TestFindGaps:
         assert calls == [0.125]
 
 
-# _refine_stationary's Brent settings
-BRENT_XTOL, BRENT_RTOL, BRENT_MAXITER = 1e-13, 8.9e-16, 200
+class TestEdges:
+    """Refined edges against closed forms, and the kernel calls they cost."""
 
-
-def _bracketed_function(kind, r, c):
-    """A function with its one root at r and a sign change there."""
-    if kind == 0:
-        return lambda x: c * (x - r)
-    if kind == 1:
-        return lambda x: math.exp(c * (x - r)) - 1.0
-    if kind == 2:
-        return lambda x: (x - r) ** 3 + 1e-6 * c * (x - r)
-    if kind == 3:
-        return lambda x: math.atan(1e4 * c * (x - r))
-    return lambda x: math.copysign(math.sqrt(abs(x - r)), x - r)
-
-
-class TestBrent:
-    """support._brent against scipy.optimize.brentq, a test-only oracle."""
-
-    def test_matches_scipy_brentq_bitwise(self):
+    def test_two_atom_edges_match_the_closed_form(self, two_atom_config):
+        # each interior edge is a stationary point of the closed-form x(g);
+        # scipy's brentq on the closed-form dx/dg is the test-only oracle
         from scipy.optimize import brentq
 
-        rng = np.random.default_rng(8)
-        for i in range(200):
-            r, c = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
-            fn = _bracketed_function(i % 5, r, c)
-            # case 0 has an exact zero at its left end
-            a = r if i == 0 else r - rng.uniform(1e-3, 4.0)
-            b = r + rng.uniform(1e-3, 4.0)
-            if i % 2:
-                a, b = b, a
-            ref_calls, calls = [], []
-            ref = brentq(
-                lambda x: ref_calls.append(x) or fn(x), a, b,
-                xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=BRENT_MAXITER,
+        low, mid, top = find_gaps(two_atom_config)
+        for g, x in ((low.g_b, low.b), (mid.g_a, mid.a), (mid.g_b, mid.b), (top.g_a, top.a)):
+            g_lo, g_hi = sorted((g * (1.0 - 1e-3), g * (1.0 + 1e-3)))
+            g_star = brentq(
+                lambda v: two_atom_dx_dg(v, two_atom_config.y), g_lo, g_hi, xtol=1e-15
             )
-            got = support._brent(
-                lambda x: calls.append(x) or fn(x), a, b,
-                BRENT_XTOL, BRENT_RTOL, BRENT_MAXITER,
+            assert x == pytest.approx(
+                two_atom_x_of_g(g_star, two_atom_config.y), rel=1e-13, abs=0.0
             )
-            assert got == ref, (i, got, ref)
-            assert calls == ref_calls, i
 
-    def test_no_sign_change_raises_coarse_grid_error(self, mp_config):
-        # on MP the branch is s = g, and dx/dg > 0 across g in [-5, -4]
-        u, t, w = spectrum_arrays(mp_config.spectrum)
-        with pytest.raises(CoarseGridError, match="no sign change"):
-            support._refine_stationary((-5.0, -5.0, -4.0, -4.0), u, t, w, mp_config.y)
+    @pytest.mark.parametrize(
+        "atoms, y, n_grid",
+        [
+            pytest.param([(0.0, 1.0, 0.5), (8.0, 1.0, 0.5)], 0.1, DEFAULT_N_GRID, id="two-atom"),
+            # the lower edge of the middle gap shares its cell with a fold
+            pytest.param(*GAP_MODELS["defect-F"][:2], 400, id="defect-F-400"),
+        ],
+    )
+    def test_one_sweep_and_a_bisection_of_branch_solves_per_edge(
+        self, monkeypatch, atoms, y, n_grid
+    ):
+        calls = {"real_roots": 0, "branch": 0}
+        edges = []
+        real_roots, branch, refine = K.real_roots, K.branch, support._refine_edge
 
-    def test_nan_raises_coarse_grid_error(self, mp_config, monkeypatch):
-        u, t, w = spectrum_arrays(mp_config.spectrum)
-        real = K.branch
+        def counted_real_roots(*args):
+            calls["real_roots"] += 1
+            return real_roots(*args)
 
-        def nan_slope(*args):
-            s, x, _dx, ds, status = real(*args)
-            return s, x, math.nan, ds, status
+        def counted_branch(*args):
+            calls["branch"] += 1
+            return branch(*args)
 
-        monkeypatch.setattr(K, "branch", nan_slope)
-        with pytest.raises(CoarseGridError, match="NaN"):
-            support._refine_stationary((-5.0, -5.0, -4.0, -4.0), u, t, w, mp_config.y)
+        def counted_refine(g_end, s_end, g_next, *args):
+            before = calls["branch"]
+            result = refine(g_end, s_end, g_next, *args)
+            edges.append((abs(g_next - g_end) / abs(g_end), calls["branch"] - before))
+            return result
 
-    def test_running_out_of_iterations_raises_coarse_grid_error(self):
-        with pytest.raises(CoarseGridError, match="within 3 iterations"):
-            support._brent(lambda x: x**3 - 0.2, -1.0, 2.0, BRENT_XTOL, BRENT_RTOL, 3)
+        monkeypatch.setattr(K, "real_roots", counted_real_roots)
+        monkeypatch.setattr(K, "branch", counted_branch)
+        monkeypatch.setattr(support, "_refine_edge", counted_refine)
+        find_gaps(ModelConfig(JointSpectrum.from_atoms(atoms), y), n_grid=n_grid)
+        assert calls["real_roots"] == 1
+        assert len(edges) == 4
+        for cell, n in edges:
+            assert 0 < n <= math.ceil(math.log2(cell / EDGE_RTOL)) + 1, (cell, n)
 
 
 class TestNearEdgeSolve:
@@ -532,7 +522,7 @@ class TestNearEdgeSolve:
 
     def test_pairs_inside_gaps_are_exactly_real(self, two_atom_config):
         for gap in find_gaps(two_atom_config):
-            b = gap.a + UNBOUNDED_SPAN if gap.unbounded else gap.b
+            b = gap.finite_b
             inset = 0.05 * (b - gap.a)
             for x in np.linspace(gap.a + inset, b - inset, 9):
                 pair = boundary_value(float(x), two_atom_config)
