@@ -139,6 +139,14 @@ def _gap_from_json(obj: dict) -> SpectralGap:
     )
 
 
+def _read_gaps(path: str) -> list[SpectralGap]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [_gap_from_json(obj) for obj in json.load(fh)]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read gaps file {path}: {exc!r}") from exc
+
+
 def _write_json(payload, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -147,8 +155,8 @@ def _write_json(payload, path: str) -> None:
 
 def cmd_density(config: RunConfig, x_min: float, x_max: float, points: int, out_dir: str) -> int:
     """Write density.csv over a uniform grid; NaN rows for failed points."""
-    if not (0.0 < x_min < x_max):
-        print("density: need 0 < x-min < x-max", file=sys.stderr)
+    if not (0.0 < x_min < x_max < math.inf):
+        print("density: need finite 0 < x-min < x-max", file=sys.stderr)
         return EXIT_USAGE
     if points < 2:
         print("density: need at least 2 points", file=sys.stderr)
@@ -235,11 +243,7 @@ def _separation_payload(predictions) -> list:
 def cmd_separate(config: RunConfig, out_dir: str, convention: str, gaps_file: str | None = None) -> int:
     """Write separation.json with per-gap side counts of the h functions."""
     _require_sim(config, "separate")
-    if gaps_file is not None:
-        with open(gaps_file, "r", encoding="utf-8") as fh:
-            gaps = [_gap_from_json(obj) for obj in json.load(fh)]
-    else:
-        gaps = find_gaps(config.model)
+    gaps = find_gaps(config.model) if gaps_file is None else _read_gaps(gaps_file)
     predictions = _predictions(config, gaps, convention)
     _write_json(_separation_payload(predictions), os.path.join(out_dir, "separation.json"))
     return EXIT_OK
@@ -249,6 +253,8 @@ def cmd_verify(config: RunConfig, out_dir: str, convention: str, threshold: floa
     """Run seeded trials against predictions; write verify.json and the
     per-trial eigenvalue CSV. Exit 0 iff the active convention's all-gaps
     match frequency reaches the threshold."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"--threshold must lie in [0, 1], got {threshold}")
     sim = _require_sim(config, "verify")
     gaps = find_gaps(config.model)
     predictions = _predictions(config, gaps, convention)

@@ -63,7 +63,7 @@ class NotInGapError(SpecsepError):
 class SignConstancyError(SpecsepError):
     """A pair's separation function changed sides across a gap.
 
-    Carries the offending pair index and the sampled values.
+    Carries the offending pair index and its values at the gap's two ends.
     """
 
     def __init__(self, pair_index, pair, values):

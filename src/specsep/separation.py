@@ -1,12 +1,12 @@
 """Eigenvalue-count prediction from the separation functions h_j = u_j*g + t_j*s.
 
-Across a gap, each pair's h_j stays on one side of -1; the counts of pairs
-on each side predict how many eigenvalues of the finite matrix land below
-and above the gap. Two side-mapping conventions are supported; the
-default "derivation" convention sends h_j < -1 to eigenvalues above the
-gap, which is the mapping consistent with the y -> 0 degenerate limit
-h_j = -(u_j + t_j)/x. The alternative "theorem" convention is the flipped
-mapping, kept behind a flag so Monte Carlo runs can discriminate them.
+In a gap g and s are real Stieltjes transforms and increase, so each h_j
+(u_j >= 0, t_j > 0) increases too, and its side of -1 is read at the gap's
+two ends. The counts of pairs on each side predict how many eigenvalues of
+the finite matrix land below and above the gap. The default "derivation"
+convention sends h_j < -1 to eigenvalues above the gap, the mapping
+consistent with the y -> 0 degenerate limit h_j = -(u_j + t_j)/x; the
+flipped "theorem" convention is kept so Monte Carlo runs can discriminate.
 """
 
 from __future__ import annotations
@@ -70,38 +70,32 @@ def predict_counts(
     pairs,
     cfg: ModelConfig,
     settings: SolveSettings = DEFAULT_SETTINGS,
-    n_samples: int = 5,
     convention: str = "derivation",
 ) -> SeparationPrediction:
-    """Evaluate the separation functions across a gap and count the sides.
+    """Count the sides of -1 that the h_j take at a gap's two ends.
 
-    Samples n_samples points inset from the endpoints by 1e-3 of the gap
-    span (unbounded gaps are cut at a + 10) and requires each pair's sign
-    relative to -1 to be constant across samples.
+    The ends, inset by 1e-3 of the span (unbounded gaps are cut at a + 10),
+    hold each h_j's min and max; a side change between them raises
+    SignConstancyError. Two real ends do not otherwise prove one gap.
     """
-    if n_samples < 3:
-        raise ValueError(f"n_samples must be >= 3, got {n_samples}")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     pairs = tuple((float(u), float(t)) for u, t in pairs)
     delta = 1e-3 * (gap.finite_b - gap.a)
-    xs = np.linspace(gap.a + delta, gap.finite_b - delta, n_samples)
+    h_lo = h_values(pairs, gap.a + delta, cfg, settings)
+    h_hi = h_values(pairs, gap.finite_b - delta, cfg, settings)
+    above = h_hi > -1.0
+    crossed = (h_lo > -1.0) != above
+    j = int(np.argmax(crossed))
+    if crossed[j]:
+        raise SignConstancyError(j, pairs[j], [float(h_lo[j]), float(h_hi[j])])
 
-    h_rows = np.vstack([h_values(pairs, x, cfg, settings) for x in xs])
-    above = h_rows > -1.0
-    for j in range(len(pairs)):
-        col = above[:, j]
-        if not (col.all() or not col.any()):
-            raise SignConstancyError(j, pairs[j], h_rows[:, j].tolist())
-
-    count_above = int(np.count_nonzero(above[0]))
-    count_below = len(pairs) - count_above
     return SeparationPrediction(
         gap=gap,
         pairs=pairs,
-        h_min=tuple(np.min(h_rows, axis=0)),
-        h_max=tuple(np.max(h_rows, axis=0)),
-        count_h_below=count_below,
-        count_h_above=count_above,
+        h_min=tuple(h_lo),
+        h_max=tuple(h_hi),
+        count_h_below=int(np.count_nonzero(~above)),
+        count_h_above=int(np.count_nonzero(above)),
         convention=convention,
     )

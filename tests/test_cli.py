@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from specsep import SolveSettings, StieltjesPair
-from specsep import support
+from specsep import cli, support
 from specsep.cli import load_config, main
 
 from oracles import mp_density, mp_edges
@@ -87,6 +87,12 @@ class TestDensityCommand:
              "--x-min", "0.0", "--x-max", "2.0"]
         )
         assert rc == 2
+        rc = main(
+            ["density", "--config", mp_json, "--out", str(tmp_path / "inf"),
+             "--x-min", "0.3", "--x-max", "inf"]
+        )
+        assert rc == 2
+        assert not (tmp_path / "inf" / "density.csv").exists()
 
 
 class TestGapsCommand:
@@ -161,6 +167,21 @@ class TestSeparateCommand:
         rc = main(["separate", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "content", [None, "nope", '[{"a": 0.3}]'], ids=["missing", "not-json", "no-b"]
+    )
+    def test_bad_gaps_file_is_config_error(self, two_atom_json, tmp_path, capsys, content):
+        path = tmp_path / "gaps.json"
+        if content is not None:
+            path.write_text(content)
+        rc = main(
+            ["separate", "--config", two_atom_json, "--out", str(tmp_path),
+             "--gaps-file", str(path)]
+        )
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "separation.json").exists()
+
 
 class TestVerifyCommand:
     def test_passes_with_derivation_convention(self, two_atom_json, tmp_path):
@@ -184,6 +205,22 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["passed"] is False
         assert report["all_gaps_match_frequency"]["theorem"] < 0.05
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "1.5", "-0.1"])
+    def test_threshold_outside_unit_interval_is_usage_error(
+        self, two_atom_json, tmp_path, capsys, monkeypatch, threshold
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        rc = main(
+            ["verify", "--config", two_atom_json, "--out", str(tmp_path),
+             "--threshold", threshold]
+        )
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
 
     def test_byte_identical_reruns(self, two_atom_json, tmp_path):
         out1 = tmp_path / "r1"

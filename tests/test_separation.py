@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specsep import _kernels as K
+from specsep import separation
 from specsep import (
     JointSpectrum,
     ModelConfig,
@@ -19,6 +20,12 @@ from specsep import (
 from specsep.spectrum import spectrum_arrays
 
 from test_support import GAP_MODELS
+
+SEPARATION_MODELS = [
+    *(pytest.param(atoms, y, id=name) for name, (atoms, y, _n) in GAP_MODELS.items()),
+    pytest.param([(0.0, 1.0, 0.5), (8.0, 1.0, 0.5)], 0.1, id="two-atom"),
+    pytest.param([(0.0, 1.0, 1.0)], 0.25, id="mp"),
+]
 
 
 class TestHValues:
@@ -77,13 +84,41 @@ class TestPredictCounts:
         assert pred.count_h_above == 40
         assert pred.eigencounts("derivation") == (40, 40)
 
-    @pytest.mark.parametrize(
-        "atoms, y",
-        [
-            *(pytest.param(atoms, y, id=name) for name, (atoms, y, _n) in GAP_MODELS.items()),
-            pytest.param([(0.0, 1.0, 0.5), (8.0, 1.0, 0.5)], 0.1, id="two-atom"),
-        ],
-    )
+    @pytest.mark.parametrize("atoms, y", SEPARATION_MODELS)
+    def test_h_increases_across_every_gap(self, atoms, y):
+        # g and s are real Stieltjes transforms in a gap, so they increase;
+        # with u >= 0 and t > 0 each h_j increases too, and its extremes are
+        # at the two inset ends that predict_counts evaluates
+        spectrum = JointSpectrum.from_atoms(atoms)
+        cfg = ModelConfig(spectrum, y)
+        pairs = [(atom.u, atom.t) for atom in spectrum.atoms]
+        for gap in find_gaps(cfg):
+            delta = 1e-3 * (gap.finite_b - gap.a)
+            xs = np.linspace(gap.a + delta, gap.finite_b - delta, 5)
+            h = np.vstack([h_values(pairs, x, cfg) for x in xs])
+            assert np.all(np.diff(h, axis=0) > 0.0), gap
+
+    def test_two_h_values_calls_per_gap_at_the_inset_ends(self, two_atom_config, monkeypatch):
+        xs = []
+        real = separation.h_values
+
+        def counted(pairs, x, cfg, settings):
+            xs.append(x)
+            return real(pairs, x, cfg, settings)
+
+        monkeypatch.setattr(separation, "h_values", counted)
+        pairs = materialize_pairs(two_atom_config.spectrum, 10)
+        gaps = find_gaps(two_atom_config)
+        for gap in gaps:
+            pred = predict_counts(gap, pairs, two_atom_config)
+            delta = 1e-3 * (gap.finite_b - gap.a)
+            ends = np.linspace(gap.a + delta, gap.finite_b - delta, 5)[[0, -1]]
+            assert xs[-2:] == list(ends)
+            assert pred.h_min == tuple(real(pairs, ends[0], two_atom_config))
+            assert pred.h_max == tuple(real(pairs, ends[1], two_atom_config))
+        assert len(xs) == 2 * len(gaps)
+
+    @pytest.mark.parametrize("atoms, y", SEPARATION_MODELS)
     def test_counts_follow_the_sign_row_of_the_sweep(self, atoms, y):
         # a pair taken from atom k has 1 + h = 1 + u_k*g + t_k*s, atom k's
         # denominator, so the pairs with h > -1 are those of the atoms whose
@@ -143,12 +178,6 @@ class TestPredictCounts:
             pb = predict_counts(gb, pairs_base, cfg_base)
             ps = predict_counts(gs, pairs_scaled, cfg_scaled)
             assert pb.eigencounts() == ps.eigencounts()
-
-    def test_rejects_few_samples(self, mp_config):
-        gap = find_gaps(mp_config)[1]
-        pairs = materialize_pairs(mp_config.spectrum, 4)
-        with pytest.raises(ValueError):
-            predict_counts(gap, pairs, mp_config, n_samples=2)
 
     def test_rejects_unknown_convention(self, mp_config):
         gap = find_gaps(mp_config)[1]
