@@ -12,11 +12,12 @@ GRIDS points per side:
 
 With ``--baseline`` a second checkout, in a child process, runs the same
 models. The JSON record holds, per class and grid, the number of runs, the
-errors by type and the ``K.real_roots`` and ``K.branch`` calls on each
-side, and against the baseline the runs whose gap count or exception
-differs, and for the edges in x (a, b) and in g (g_a, g_b) apart: how many
-were compared, how many are bitwise equal, and the worst relative move, with
-the model it occurs on.
+errors by type, the ``K.real_roots`` and ``K.branch`` calls and the total
+wall time of the ``find_gaps`` calls (``find_gaps_s``, with the call
+counters in place) on each side, and against the baseline the runs whose
+gap count or exception differs, and for the edges in x (a, b) and in g
+(g_a, g_b) apart: how many were compared, how many are bitwise equal, and
+the worst relative move, with the model it occurs on.
 
 Usage, from the root of this checkout, with the baseline checked out
 elsewhere (``git archive <commit> | tar -x -C <dir>``):
@@ -32,6 +33,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -66,7 +68,7 @@ def build_corpus() -> list[dict]:
 def evaluate(src: str, models: list[dict]) -> list[dict]:
     """find_gaps of the checkout whose package lives in src on every model
     and grid: the gaps as [a, b, g_a, g_b] or the error's type, with the
-    K.real_roots and K.branch calls the run made."""
+    K.real_roots and K.branch calls the run made and its seconds."""
     specsep, K = _import_specsep(src)
     kernels = {"real_roots": K.real_roots, "branch": K.branch}
     count = dict.fromkeys(kernels, 0)
@@ -81,11 +83,13 @@ def evaluate(src: str, models: list[dict]) -> list[dict]:
         for name in kernels:
             count[name] = 0
         cfg = specsep.ModelConfig(specsep.JointSpectrum.from_atoms(model["atoms"]), model["y"])
+        start = time.perf_counter()
         try:
             gaps = specsep.find_gaps(cfg, n_grid=n_grid)
             rec = {"gaps": [[g.a, g.b, g.g_a, g.g_b] for g in gaps]}
         except specsep.SpecsepError as exc:
             rec = {"error": type(exc).__name__}
+        rec["seconds"] = time.perf_counter() - start
         rec.update({name + "_calls": n for name, n in count.items()})
         return rec
 
@@ -113,6 +117,7 @@ def _tally(results: list[dict]) -> dict:
         "errors": errors,
         "real_roots_calls": sum(r["real_roots_calls"] for r in results),
         "branch_calls": sum(r["branch_calls"] for r in results),
+        "find_gaps_s": round(sum(r["seconds"] for r in results), 4),
     }
 
 

@@ -10,12 +10,14 @@ the loop on Python floats, 2.2 us on float64 arrays, 6.2 us for ``np.sum``
 and 4.4 us for ``@``; see notes/decisions.md). The same loops run
 elementwise on arrays, so ``phi`` and ``branch_terms`` also serve the sweep,
 which treats a whole grid at once: ``real_roots`` takes every root of the
-coupling constraint from one batched eigenvalue call on companion matrices
-and keeps the admissible one. On 4,000 grid points it takes 11 ms on atoms
-{(0,1,1/2), (8,1,1/2)} at y = 0.1 and 2.8 ms on a signal-free model (medians
-on a shared 2-core host, where the branch walk it replaced took 28 and
-17 ms). ``find_gaps`` on the two-atom model makes 4 ``phi`` calls in its one
-sweep and 132 ``branch`` calls (167 ``phi``) refining its 4 edges.
+coupling constraint at every grid point, in closed form when the cleared
+polynomial is linear or quadratic and from one batched eigenvalue call on
+companion matrices otherwise, and ``sweep`` keeps the admissible one. On
+both halves of the default grid (8,000 points) ``sweep`` takes 6.8 ms on
+atoms {(0,1,1/2), (8,1,1/2)} at y = 0.1 and 2.0 ms on a signal-free model
+(medians on a shared 2-core host; 12.3 and 3.6 ms with companion matrices at
+every degree). ``find_gaps`` on the two-atom model makes 4 ``phi`` calls in
+its one sweep and 132 ``branch`` calls (167 ``phi``) refining its 4 edges.
 
 Kernels call each other through this module's globals (``phi`` inside
 ``solve_s`` and ``real_roots``, ``real_roots`` inside ``sweep``, ...), never
@@ -381,16 +383,49 @@ def _times_linear(p, a, b):
     return out
 
 
+def _closed_form_roots(coef):
+    """Roots of degree-1 or degree-2 coefficient rows (highest power first).
+
+    A linear row's root is -c1/c0. A quadratic a*s^2 + b*s + c uses the
+    cancellation-free pair q/a and c/q with
+    q = -(b + sign(b)*sqrt(|disc|))/2, and q = 0 (b = c = 0) is the double
+    root 0; disc < 0 gives the complex pair -b/2a +- i*sqrt(-disc)/2|a|.
+    Returns an array of shape (rows, degree).
+    """
+    if coef.shape[1] == 2:
+        return -coef[:, 1:] / coef[:, :1]
+    a, b, c = coef.T
+    disc = b * b - 4.0 * a * c
+    root = np.sqrt(np.abs(disc))
+    q = -0.5 * (b + np.copysign(root, b))
+    r = np.zeros((coef.shape[0], 2), dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r.real[:, 0] = q / a
+        r.real[:, 1] = np.where(q == 0.0, 0.0, c / q)
+    pair = disc < 0.0
+    mid = -b[pair] / (2.0 * a[pair])
+    half = root[pair] / (2.0 * np.abs(a[pair]))
+    r[pair, 0] = mid + 1j * half
+    r[pair, 1] = mid - 1j * half
+    return r
+
+
 def real_roots(gs, u, t, w, y):
     """Every real root of the coupling constraint at each g of a grid, tested.
 
     Clearing the denominators d_j = 1 + u_j*g + t_j*s of the m atoms with
     w*u != 0 turns phi(g, .) into (s - g)*prod_j d_j + y*g^2*sum_k
-    w_k*u_k*prod_{j != k} d_j, a polynomial of degree m + 1 in s. One batched
-    eigenvalue call on the companion matrices gives its roots at every grid
-    point. A root with |Im| <= ROOT_RTOL*(1 + |r|) is real; POLISH_STEPS
-    Newton steps on the rational phi then undo the loss of accuracy from
-    clearing, which is worst where two atoms' poles nearly coincide.
+    w_k*u_k*prod_{j != k} d_j, a polynomial of degree m + 1 in s. Its roots
+    at every grid point come in closed form for degree 1 (no atom with
+    signal) and 2 (one), vectorised over the grid (``_closed_form_roots``),
+    and from one batched eigenvalue call on the companion matrices for
+    degree 3 and more (two or more atoms with signal), the only path there:
+    the cubic and quartic formulas lose accuracy to cancellation, and higher
+    degrees have none. On degree 1 and 2 the per-matrix LAPACK overhead was
+    about half the sweep's time. A root with |Im| <= ROOT_RTOL*(1 + |r|) is
+    real; POLISH_STEPS Newton steps on the rational phi then undo the loss
+    of accuracy from clearing, which is worst where two atoms' poles nearly
+    coincide.
 
     Each root is tested by ``admissible``.
 
@@ -411,10 +446,13 @@ def real_roots(gs, u, t, w, y):
     coef = _times_linear(prod, 1.0, -g)
     coef[:, 2:] += y * g * g * pole_sum
     degree = coef.shape[1] - 1
-    companion = np.zeros((gs.shape[0], degree, degree))
-    companion[:, 0, :] = -coef[:, 1:] / coef[:, :1]
-    companion[:, range(1, degree), range(degree - 1)] = 1.0
-    r = np.linalg.eigvals(companion)
+    if degree <= 2:
+        r = _closed_form_roots(coef)
+    else:
+        companion = np.zeros((gs.shape[0], degree, degree))
+        companion[:, 0, :] = -coef[:, 1:] / coef[:, :1]
+        companion[:, range(1, degree), range(degree - 1)] = 1.0
+        r = np.linalg.eigvals(companion)
     s = np.where(np.abs(r.imag) <= ROOT_RTOL * (1.0 + np.abs(r)), r.real, np.nan)
     with np.errstate(all="ignore"):
         for _ in range(POLISH_STEPS):

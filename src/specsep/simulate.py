@@ -76,19 +76,28 @@ def _draw_noise(rng: np.random.Generator, shape, law: str) -> np.ndarray:
     if law == "standard_gaussian":
         return rng.standard_normal(shape)
     if law == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+        x = rng.integers(0, 2, size=shape).astype(np.float64)
+        x *= 2.0
+        x -= 1.0
+        return x
     if law == "uniform_standardized":
         return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
     raise SpectrumError(f"unknown noise law {law!r}")
 
 
 def sample_noise(rng: np.random.Generator, shape, law: str, complex_entries: bool) -> np.ndarray:
-    """Standardized noise matrix; complex entries are (xi + i*eta)/sqrt(2)."""
-    if complex_entries:
-        re = _draw_noise(rng, shape, law)
-        im = _draw_noise(rng, shape, law)
-        return (re + 1j * im) / math.sqrt(2.0)
-    return _draw_noise(rng, shape, law)
+    """Standardized noise matrix; complex entries are (xi + i*eta)/sqrt(2).
+
+    The complex matrix is filled in place, one part at a time, so that at
+    most one real draw lives beside it.
+    """
+    if not complex_entries:
+        return _draw_noise(rng, shape, law)
+    x = np.empty(shape, dtype=np.complex128)
+    x.real = _draw_noise(rng, shape, law)
+    x.imag = _draw_noise(rng, shape, law)
+    x /= math.sqrt(2.0)
+    return x
 
 
 def sample_B(simcfg: SimConfig, trial_index: int) -> np.ndarray:
@@ -358,7 +367,8 @@ def perturbation_check(a: np.ndarray, b: np.ndarray, slack: float = 1e-10) -> Pe
 
 def write_eigenvalue_csv(table, path) -> None:
     """One CSV row per row of the eigenvalue table, 17 significant digits."""
+    # one %-format per row gives the same digits as format(v, ".17g") per value
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         for row in table:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+            fh.write(line % tuple(row.tolist()))

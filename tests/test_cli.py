@@ -236,6 +236,12 @@ class TestConfigHandling:
         rc = main(["gaps", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps({"y": 0.25}).encode("utf-16-le"))
+        assert main(["gaps", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_schema_version(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": 99, "y": 0.25, "spectrum": []}))

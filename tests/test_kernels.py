@@ -164,6 +164,92 @@ def test_sweep_returns_the_converged_copy_of_a_root():
     np.testing.assert_allclose(s, gs[twice], rtol=1e-5)
 
 
+def _companion_roots(coef):
+    # every root of each coefficient row (highest power first) from one
+    # batched eigenvalue call on the companion matrices
+    degree = coef.shape[1] - 1
+    companion = np.zeros((coef.shape[0], degree, degree))
+    companion[:, 0, :] = -coef[:, 1:] / coef[:, :1]
+    companion[:, range(1, degree), range(degree - 1)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+def test_closed_form_roots_match_companion_eigenvalues():
+    e = 2.0**-20
+    cases = {
+        "linear": ([[2.0, -3.0], [1.0, 0.0], [0.5, 7.0]], [[1.5], [0.0], [-14.0]]),
+        "real pair": ([[1.0, 2.0, -3.0], [-2.0, 4.0, 6.0]], [[-3.0, 1.0], [-1.0, 3.0]]),
+        "complex pair": ([[1.0, 2.0, 5.0], [-1.0, 2.0, -5.0]], [[-1 - 2j, -1 + 2j], [1 - 2j, 1 + 2j]]),
+        # the roots 1 and 1 + 2^-20; every coefficient and disc = 2^-40 are exact
+        "near-double": ([[1.0, -(2.0 + e), 1.0 + e]], [[1.0, 1.0 + e]]),
+        "b = 0": ([[1.0, 0.0, -4.0], [2.0, 0.0, 8.0]], [[-2.0, 2.0], [-2j, 2j]]),
+        "q = 0": ([[3.0, 0.0, 0.0]], [[0.0, 0.0]]),
+    }
+    for name, (coef, exact) in cases.items():
+        coef = np.array(coef)
+        got = np.sort_complex(K._closed_form_roots(coef))
+        np.testing.assert_allclose(got, np.sort_complex(_companion_roots(coef)), rtol=1e-12, atol=0.0, err_msg=name)
+        np.testing.assert_allclose(got, exact, rtol=1e-15, atol=0.0, err_msg=name)
+
+    # s^2 - 1e8*s + 1: the small root comes from c/q, with no cancellation
+    small = K._closed_form_roots(np.array([[1.0, -1e8, 1.0]]))[0, 1]
+    assert small.imag == 0.0 and abs(small.real - 1e-8) <= 1e-15 * 1e-8
+
+
+def _reference_real_roots(gs, u, t, w, y):
+    # real_roots with the companion eigenvalues at every degree
+    u, t, w = (np.asarray(a, dtype=np.float64) for a in (u, t, w))
+    active = w * u != 0.0
+    lin = 1.0 + np.outer(gs, u[active])
+    prod = np.ones((gs.shape[0], 1))
+    pole_sum = np.zeros((gs.shape[0], 0))
+    for j, (t_j, wu_j) in enumerate(zip(t[active], (w * u)[active])):
+        pole_sum = K._times_linear(pole_sum, t_j, lin[:, j:j + 1]) + wu_j * prod
+        prod = K._times_linear(prod, t_j, lin[:, j:j + 1])
+    g = gs[:, None]
+    coef = K._times_linear(prod, 1.0, -g)
+    coef[:, 2:] += y * g * g * pole_sum
+    r = _companion_roots(coef)
+    s = np.where(np.abs(r.imag) <= K.ROOT_RTOL * (1.0 + np.abs(r)), r.real, np.nan)
+    with np.errstate(all="ignore"):
+        for _ in range(K.POLISH_STEPS):
+            s = s - K.phi(g, s, u, t, w, y) / K.branch_terms(g, s, u, t, w, y)[3]
+        x, dx_dg, s_prime, _phi_s = K.branch_terms(g, s, u, t, w, y)
+        admitted = K.admissible(g, s, dx_dg, s_prime)
+    return s, x, dx_dg, admitted
+
+
+def test_real_roots_and_sweep_match_the_companion_reference(mp_config, two_atom_config, monkeypatch):
+    # degree 1 (MP), 2 (two-atom, one atom with signal) and 3 or 4
+    # (GAP_MODELS); rows are compared with their roots in ascending order
+    configs = {"mp": mp_config, "two-atom": two_atom_config}
+    configs.update({name: ModelConfig(JointSpectrum.from_atoms(atoms), y)
+                    for name, (atoms, y, _n) in GAP_MODELS.items()})
+    gs = np.concatenate([_grid(-1.0), _grid(1.0)])
+    degrees = set()
+    for name, cfg in configs.items():
+        u, t, w = spectrum_arrays(cfg.spectrum)
+        got = K.real_roots(gs, u, t, w, cfg.y)
+        ref = _reference_real_roots(gs, u, t, w, cfg.y)
+        degrees.add(got[0].shape[1])
+        order_got = np.argsort(got[0], axis=1)
+        order_ref = np.argsort(ref[0], axis=1)
+        got = [np.take_along_axis(a, order_got, axis=1) for a in got]
+        ref = [np.take_along_axis(a, order_ref, axis=1) for a in ref]
+        for a, b in zip(got[:3], ref[:3]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=name)
+        np.testing.assert_array_equal(got[3], ref[3], err_msg=name)
+
+        swept = K.sweep(gs, u, t, w, cfg.y)
+        with monkeypatch.context() as m:
+            m.setattr(K, "real_roots", _reference_real_roots)
+            ref_swept = K.sweep(gs, u, t, w, cfg.y)
+        np.testing.assert_array_equal(swept[3], ref_swept[3], err_msg=name)
+        for a, b in zip(swept, ref_swept):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=name)
+    assert {1, 2, 3} <= degrees
+
+
 def _is_boundary_pair(g, s, x, cfg):
     pair = boundary_value(float(x), cfg)
     return (

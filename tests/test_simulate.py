@@ -131,6 +131,31 @@ class TestSampleB:
             tracemalloc.stop()
         assert peak < 2 * 8 * p * n
 
+    @pytest.mark.parametrize("law", ["standard_gaussian", "rademacher", "uniform_standardized"])
+    def test_complex_noise_is_the_quotient_of_its_parts_bitwise(self, law):
+        # filled in place, the matrix holds the same bits as (re + i*im)/sqrt(2)
+        shape = (30, 70)
+        got = sample_noise(np.random.default_rng(21), shape, law, complex_entries=True)
+        rng = np.random.default_rng(21)
+        re = simulate._draw_noise(rng, shape, law)
+        im = simulate._draw_noise(rng, shape, law)
+        expected = (re + 1j * im) / math.sqrt(2.0)
+        assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+        real = sample_noise(np.random.default_rng(21), shape, law, complex_entries=False)
+        assert np.array_equal(real.view(np.float64), re.view(np.float64))
+
+    def test_complex_noise_holds_one_real_draw_beside_it(self):
+        # the complex result (two p x n float arrays) and one real draw; the
+        # sum of the two draws and its quotient by sqrt(2) took about four
+        n, p = 2000, 200
+        tracemalloc.start()
+        try:
+            sample_noise(np.random.default_rng(4), (p, n), "standard_gaussian", complex_entries=True)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * 8 * p * n
+
     def test_fixed_seed_replays_bit_identical(self, two_atom_spectrum):
         cfg = SimConfig(spectrum=two_atom_spectrum, n=50, p=10, seed=1234)
         b1 = sample_B(cfg, 3)
@@ -345,6 +370,18 @@ class TestTrialPipeline:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * p * n
+
+
+def test_eigenvalue_csv_matches_per_value_formatting(tmp_path):
+    table = np.array([
+        [0.0, 5e-324, 1e20, -1e-300],
+        [-3.5e-7, -0.0, 2.2250738585072014e-308, 1.0 / 3.0],
+        [-2.5e-310, 7.0, -1e-17, 123456789.123456789],
+    ])
+    path = tmp_path / "eigenvalues.csv"
+    simulate.write_eigenvalue_csv(table, path)
+    expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table)
+    assert path.read_bytes() == expected.encode("ascii")
 
 
 class TestExtremeBounds:
