@@ -10,14 +10,21 @@ GRIDS points per side:
   regression models of ``tests/test_support.py`` (GAP_MODELS,
   DECLINE_MODELS and INWARD_WALK_MODELS).
 
+Every gap found is also passed to ``predict_counts`` with PAIRS pairs of
+its model, and its (below, above) h-side counts, or the type of the error
+it raised, are kept.
+
 With ``--baseline`` a second checkout, in a child process, runs the same
 models. The JSON record holds, per class and grid, the number of runs, the
 errors by type, the ``K.real_roots`` and ``K.branch`` calls and the total
 wall time of the ``find_gaps`` calls (``find_gaps_s``, with the call
-counters in place) on each side, and against the baseline the runs whose
-gap count or exception differs, and for the edges in x (a, b) and in g
-(g_a, g_b) apart: how many were compared, how many are bitwise equal, and
-the worst relative move, with the model it occurs on.
+counters in place) on each side, and the ``predict_counts`` errors by type
+and their total wall time (``predict_counts_s``). Against the baseline it
+holds the runs whose gap count or exception differs; for the edges in x
+(a, b) and in g (g_a, g_b) apart: how many were compared, how many are
+bitwise equal, and the worst relative move, with the model it occurs on;
+and for the predictions of the runs whose gaps agree in number: how many
+gaps were compared and on how many the counts, or the exception, differ.
 
 Usage, from the root of this checkout, with the baseline checked out
 elsewhere (``git archive <commit> | tar -x -C <dir>``):
@@ -42,6 +49,8 @@ from ladder_corpus import ROOT, _import_specsep, _model, parse_args, run_baselin
 RANDOM_SEEDS = (11, 12, 13, 14)
 RANDOM_MODELS = 150
 GRIDS = (400, 4000)
+# pairs per prediction
+PAIRS = 200
 
 
 def build_corpus() -> list[dict]:
@@ -68,7 +77,9 @@ def build_corpus() -> list[dict]:
 def evaluate(src: str, models: list[dict]) -> list[dict]:
     """find_gaps of the checkout whose package lives in src on every model
     and grid: the gaps as [a, b, g_a, g_b] or the error's type, with the
-    K.real_roots and K.branch calls the run made and its seconds."""
+    K.real_roots and K.branch calls the run made and its seconds; then per
+    gap the predict_counts [below, above] counts or the error's type, and
+    the seconds of those calls."""
     specsep, K = _import_specsep(src)
     kernels = {"real_roots": K.real_roots, "branch": K.branch}
     count = dict.fromkeys(kernels, 0)
@@ -78,6 +89,13 @@ def evaluate(src: str, models: list[dict]) -> list[dict]:
             count[name] += 1
             return kernels[name](*args)
         return wrapper
+
+    def predict(gap, pairs, cfg):
+        try:
+            pred = specsep.predict_counts(gap, pairs, cfg)
+        except specsep.SpecsepError as exc:
+            return type(exc).__name__
+        return [pred.count_h_below, pred.count_h_above]
 
     def run(model, n_grid):
         for name in kernels:
@@ -91,6 +109,11 @@ def evaluate(src: str, models: list[dict]) -> list[dict]:
             rec = {"error": type(exc).__name__}
         rec["seconds"] = time.perf_counter() - start
         rec.update({name + "_calls": n for name, n in count.items()})
+        if "gaps" in rec:
+            pairs = specsep.materialize_pairs(cfg.spectrum, PAIRS)
+            start = time.perf_counter()
+            rec["counts"] = [predict(gap, pairs, cfg) for gap in gaps]
+            rec["predict_seconds"] = time.perf_counter() - start
         return rec
 
     for name in kernels:
@@ -110,14 +133,20 @@ def _rel(c: float, b: float) -> float:
 
 def _tally(results: list[dict]) -> dict:
     errors = {}
+    predict_errors = {}
     for r in results:
         if "error" in r:
             errors[r["error"]] = errors.get(r["error"], 0) + 1
+        for c in r.get("counts", []):
+            if isinstance(c, str):
+                predict_errors[c] = predict_errors.get(c, 0) + 1
     return {
         "errors": errors,
         "real_roots_calls": sum(r["real_roots_calls"] for r in results),
         "branch_calls": sum(r["branch_calls"] for r in results),
         "find_gaps_s": round(sum(r["seconds"] for r in results), 4),
+        "predict_errors": predict_errors,
+        "predict_counts_s": round(sum(r.get("predict_seconds", 0.0) for r in results), 4),
     }
 
 
@@ -126,6 +155,7 @@ def _compare(models: list[dict], change: list[dict], base: list[dict]) -> dict:
     out = {"count_mismatch": 0, "exception_mismatch": 0}
     for key in ("x", "g"):
         out[key] = {"compared": 0, "identical": 0, "worst": {"rel": 0.0}}
+    pred = out["predictions"] = {"compared": 0, "count_mismatch": 0, "exception_mismatch": 0}
     for model, c, b in zip(models, change, base):
         if c.get("error") != b.get("error"):
             out["exception_mismatch"] += 1
@@ -135,6 +165,12 @@ def _compare(models: list[dict], change: list[dict], base: list[dict]) -> dict:
         if len(c["gaps"]) != len(b["gaps"]):
             out["count_mismatch"] += 1
             continue
+        for pc, pb in zip(c["counts"], b["counts"]):
+            pred["compared"] += 1
+            if isinstance(pc, str) or isinstance(pb, str):
+                pred["exception_mismatch"] += pc != pb
+            else:
+                pred["count_mismatch"] += pc != pb
         for gc, gb in zip(c["gaps"], b["gaps"]):
             for key, vc, vb in zip(("x", "x", "g", "g"), gc, gb):
                 out[key]["compared"] += 1

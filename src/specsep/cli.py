@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +127,20 @@ def _gap_to_json(gap: SpectralGap) -> dict:
     }
 
 
+def _gap_record(gap: SpectralGap) -> dict:
+    """A gaps.json entry: the gap's JSON with its two end branch points."""
+    return {**_gap_to_json(gap), "end_a": list(gap.end_a), "end_b": list(gap.end_b)}
+
+
 def _gap_from_json(obj: dict) -> SpectralGap:
     def back(v, sign):
         return sign * math.inf if v is None else float(v)
+
+    def end(v):
+        g, s = (float(c) for c in v)
+        if not (math.isfinite(g) and math.isfinite(s)):
+            raise ValueError(f"end point {v} is not finite")
+        return g, s
 
     return SpectralGap(
         a=back(obj["a"], -1.0),
@@ -136,6 +148,8 @@ def _gap_from_json(obj: dict) -> SpectralGap:
         g_a=back(obj["g_a"], -1.0),
         g_b=back(obj["g_b"], 1.0),
         y=float(obj["y"]),
+        end_a=end(obj["end_a"]),
+        end_b=end(obj["end_b"]),
     )
 
 
@@ -192,9 +206,9 @@ def cmd_density(config: RunConfig, x_min: float, x_max: float, points: int, out_
 
 
 def cmd_gaps(config: RunConfig, out_dir: str) -> int:
-    """Write gaps.json: array of {a, b (null for inf), g_a, g_b, y}."""
+    """Write gaps.json: array of {a, b (null for inf), g_a, g_b, y, end_a, end_b}."""
     gaps = find_gaps(config.model)
-    _write_json([_gap_to_json(g) for g in gaps], os.path.join(out_dir, "gaps.json"))
+    _write_json([_gap_record(g) for g in gaps], os.path.join(out_dir, "gaps.json"))
     return EXIT_OK
 
 
@@ -216,15 +230,15 @@ def _predictions(config: RunConfig, gaps, convention: str):
 def _separation_payload(predictions) -> list:
     payload = []
     for pred in predictions:
-        profile = {}
-        for (u, t), lo, hi in zip(pred.pairs, pred.h_min, pred.h_max):
-            key = (u, t)
-            if key not in profile:
-                profile[key] = {"u": u, "t": t, "multiplicity": 0, "h_min": lo, "h_max": hi}
-            entry = profile[key]
-            entry["multiplicity"] += 1
-            entry["h_min"] = min(entry["h_min"], lo)
-            entry["h_max"] = max(entry["h_max"], hi)
+        # h_j is a function of (u_j, t_j) alone, so equal pairs carry equal
+        # h: one entry per distinct pair, read at its first index
+        profile = []
+        for (u, t), multiplicity in sorted(Counter(pred.pairs).items()):
+            j = pred.pairs.index((u, t))
+            profile.append(
+                {"u": u, "t": t, "multiplicity": multiplicity,
+                 "h_min": pred.h_min[j], "h_max": pred.h_max[j]}
+            )
         below, above = pred.eigencounts()
         payload.append(
             {
@@ -234,7 +248,7 @@ def _separation_payload(predictions) -> list:
                 "predicted_below": below,
                 "predicted_above": above,
                 "convention": pred.convention,
-                "h_profile": sorted(profile.values(), key=lambda e: (e["u"], e["t"])),
+                "h_profile": profile,
             }
         )
     return payload

@@ -60,6 +60,10 @@ class NotInGapError(SpecsepError):
     """Boundary values at the requested point are not real enough for a gap."""
 
 
+class GapStateError(SpecsepError, ValueError):
+    """A gap carries no finite real-branch point (g, s) at one of its ends."""
+
+
 class SignConstancyError(SpecsepError):
     """A pair's separation function changed sides across a gap.
 

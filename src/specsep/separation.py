@@ -2,8 +2,9 @@
 
 In a gap g and s are real Stieltjes transforms and increase, so each h_j
 (u_j >= 0, t_j > 0) increases too, and its side of -1 is read at the gap's
-two ends. The counts of pairs on each side predict how many eigenvalues of
-the finite matrix land below and above the gap. The default "derivation"
+two ends, from the real-branch points (g, s) that ``find_gaps`` carries on
+the gap, with no solve. The counts of pairs on each side predict how many
+eigenvalues of the finite matrix land below and above the gap. The default "derivation"
 convention sends h_j < -1 to eigenvalues above the gap, the mapping
 consistent with the y -> 0 degenerate limit h_j = -(u_j + t_j)/x; the
 flipped "theorem" convention is kept so Monte Carlo runs can discriminate.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NotInGapError, SignConstancyError
+from .exceptions import GapStateError, NotInGapError, SignConstancyError
 from .solver import DEFAULT_SETTINGS, SolveSettings, boundary_value
 from .spectrum import ModelConfig
 from .support import GAP_IMAG_TOL, SpectralGap
@@ -74,16 +75,24 @@ def predict_counts(
 ) -> SeparationPrediction:
     """Count the sides of -1 that the h_j take at a gap's two ends.
 
-    The ends, inset by 1e-3 of the span (unbounded gaps are cut at a + 10),
-    hold each h_j's min and max; a side change between them raises
-    SignConstancyError. Two real ends do not otherwise prove one gap.
+    h_j = u_j*g + t_j*s is read at the gap's ``end_a`` and ``end_b`` branch
+    points, which hold each h_j's min and max; a side change between them
+    raises SignConstancyError. Two ends on the real branch do not otherwise
+    prove one gap. A gap without finite (g, s) at both ends raises
+    GapStateError. Nothing is solved, so ``cfg`` and ``settings`` are not
+    read.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
+    ends = np.array([gap.end_a, gap.end_b], dtype=np.float64)
+    if not np.all(np.isfinite(ends)):
+        raise GapStateError(
+            f"gap ({gap.a}, {gap.b}) has no finite branch point at an end: "
+            f"end_a={gap.end_a}, end_b={gap.end_b}"
+        )
     pairs = tuple((float(u), float(t)) for u, t in pairs)
-    delta = 1e-3 * (gap.finite_b - gap.a)
-    h_lo = h_values(pairs, gap.a + delta, cfg, settings)
-    h_hi = h_values(pairs, gap.finite_b - delta, cfg, settings)
+    arr = np.asarray(pairs, dtype=np.float64)
+    h_lo, h_hi = arr[:, 0] * ends[:, :1] + arr[:, 1] * ends[:, 1:]
     above = h_hi > -1.0
     crossed = (h_lo > -1.0) != above
     j = int(np.argmax(crossed))

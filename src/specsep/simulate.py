@@ -110,7 +110,8 @@ def sample_B(simcfg: SimConfig, trial_index: int) -> np.ndarray:
     in place to S = T^{1/2} X / sqrt(n), the matrix (D + S)(D + S)* is
     S S* + M + M* + diag(d^2) with M = D S* = d[:, None] * S[:, :p]*. Only
     the first p columns of S meet the signal, so for real entries the noise
-    is the one p x n array made.
+    is the one p x n array made. A pass that would multiply every entry by 1
+    (all t = 1) or add 0 to it (all u = 0) changes no bit and is skipped.
     """
     rng = _trial_rng(simcfg.seed, trial_index)
     n, p = simcfg.n, simcfg.p
@@ -118,19 +119,24 @@ def sample_B(simcfg: SimConfig, trial_index: int) -> np.ndarray:
     x = sample_noise(rng, (p, n), simcfg.noise_law, simcfg.complex_entries)
     # two passes, so that S rounds as (R + T^{1/2} X) / sqrt(n) does off R's
     # diagonal: pure-noise models give the dense product's B bit for bit
-    x *= np.sqrt(t_diag)[:, None]
+    if np.any(t_diag != 1.0):
+        x *= np.sqrt(t_diag)[:, None]
     x /= math.sqrt(n)
-    b = x @ x.conj().T  # syrk for real entries
+    b = x @ x.conj().T  # syrk for real entries, so exactly symmetric
     d = r_diag / math.sqrt(n)
-    m = d[:, None] * x[:, :p].conj().T
-    # free each array once used: the trial pipeline's helper holds the last
-    # trial's B meanwhile, so one noise array and few p x p arrays are live
-    del x
-    b += m + m.conj().T
-    del m
-    b[np.diag_indices(p)] += d * d
-    b += b.conj().T
-    b /= 2.0
+    if np.any(d != 0.0):
+        m = d[:, None] * x[:, :p].conj().T
+        # free each array once used: the trial pipeline's helper holds the last
+        # trial's B meanwhile, so one noise array and few p x p arrays are live
+        del x
+        # M + M* and the diagonal keep B exactly symmetric (Hermitian)
+        b += m + m.conj().T
+        del m
+        b[np.diag_indices(p)] += d * d
+    if np.iscomplexobj(b):
+        # the complex product is a general one, Hermitian only to rounding
+        b += b.conj().T
+        b /= 2.0
     return b
 
 

@@ -73,6 +73,12 @@ class SpectralGap:
 
     b may be math.inf for the gap above the support; g_a is -inf when the
     lower endpoint is the clamped origin reached as g -> -inf.
+
+    end_a and end_b are the real-branch points (g, s) that ``find_gaps``
+    holds at the two ends of the gap's run: the last admissible point of a
+    refined edge, else the grid point the run ends on. At a clamped end that
+    grid point is g = -DEFAULT_G_BOUND (a = 0) or g = -DEFAULT_G_INNER
+    (b = inf), not the limit g_a = -inf or g_b = 0.
     """
 
     a: float
@@ -80,6 +86,8 @@ class SpectralGap:
     g_a: float
     g_b: float
     y: float
+    end_a: tuple[float, float]
+    end_b: tuple[float, float]
 
     @property
     def width(self) -> float:
@@ -188,7 +196,7 @@ def _refine_edge(g_end, s_end, g_next, u, t, w, y):
             g_in, s_in, x_in, ds_in = g, s, x, ds_dg
         else:
             g_out = g
-    return g_in, x_in
+    return g_in, s_in, x_in
 
 
 def _check_gap(gap: SpectralGap, cfg: ModelConfig) -> None:
@@ -214,7 +222,10 @@ def find_gaps(cfg: ModelConfig, n_grid: int = DEFAULT_N_GRID) -> list[SpectralGa
     the unbounded gap (b = +inf), the ends of the positive half stay at
     their grid points, and every other end is refined (``_refine_edge``) to
     the stationary point of x where admissibility ends, to EDGE_RTOL
-    relative in g, by scalar ``K.branch`` solves. Runs with x <= 0 (the
+    relative in g, by scalar ``K.branch`` solves. Each gap carries the
+    branch point (g, s) at the two ends of its run as ``end_a`` and
+    ``end_b``: the refined point, or at an end set by its index the grid
+    point's own root, never a new solve. Runs with x <= 0 (the
     positive half) are dropped. The runs come in increasing g, and on every
     model tried the gaps they give come in increasing x (notes/decisions.md).
 
@@ -238,18 +249,32 @@ def find_gaps(cfg: ModelConfig, n_grid: int = DEFAULT_N_GRID) -> list[SpectralGa
     starts, ends = np.flatnonzero(np.diff(joined, prepend=False, append=False)).reshape(-1, 2).T
 
     def edge(i, outside):
-        # (g, x) of run end i, whose grid neighbour outside the run is `outside`
+        # (g, s, x) of run end i, whose grid neighbour outside the run is `outside`
         if i in (n_grid, 2 * n_grid - 1):
-            return gs[i], x_arr[i]
+            return gs[i], s_arr[i], x_arr[i]
         return _refine_edge(gs[i], s_arr[i], gs[outside], u, t, w, y)
 
     gaps = []
     for i0, i1 in zip(starts, ends):
-        g_a, a = (-math.inf, 0.0) if i0 == 0 else edge(i0, i0 - 1)
-        g_b, b = (0.0, math.inf) if i1 == n_grid - 1 else edge(i1, i1 + 1)
+        # a clamped end keeps its grid point's (g, s): the symbolic g_a = -inf
+        # and g_b = 0 are limits, with no s that h could be read from
+        if i0 == 0:
+            g_a, a, end_a = -math.inf, 0.0, (gs[0], s_arr[0])
+        else:
+            g_a, s_a, a = edge(i0, i0 - 1)
+            end_a = (g_a, s_a)
+        if i1 == n_grid - 1:
+            g_b, b, end_b = 0.0, math.inf, (gs[i1], s_arr[i1])
+        else:
+            g_b, s_b, b = edge(i1, i1 + 1)
+            end_b = (g_b, s_b)
         a = max(a, 0.0)
         if b > a:
-            gaps.append(SpectralGap(a=float(a), b=float(b), g_a=float(g_a), g_b=float(g_b), y=y))
+            gaps.append(SpectralGap(
+                a=float(a), b=float(b), g_a=float(g_a), g_b=float(g_b), y=y,
+                end_a=(float(end_a[0]), float(end_a[1])),
+                end_b=(float(end_b[0]), float(end_b[1])),
+            ))
     for gap in gaps:
         _check_gap(gap, cfg)
     return gaps

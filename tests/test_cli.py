@@ -10,7 +10,14 @@ import sys
 import numpy as np
 import pytest
 
-from specsep import SolveSettings, StieltjesPair
+from specsep import (
+    JointSpectrum,
+    ModelConfig,
+    SolveSettings,
+    StieltjesPair,
+    materialize_pairs,
+    predict_counts,
+)
 from specsep import cli, support
 from specsep.cli import load_config, main
 
@@ -168,7 +175,12 @@ class TestSeparateCommand:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "content", [None, "nope", '[{"a": 0.3}]'], ids=["missing", "not-json", "no-b"]
+        "content",
+        [None, "nope", '[{"a": 0.3}]',
+         '[{"a": 0.3, "b": 7.0, "g_a": -1.0, "g_b": -0.5, "y": 0.05, "end_b": [-0.5, -0.5]}]',
+         '[{"a": 0.3, "b": 7.0, "g_a": -1.0, "g_b": -0.5, "y": 0.05, '
+         '"end_a": [-1.0, NaN], "end_b": [-0.5, -0.5]}]'],
+        ids=["missing", "not-json", "no-b", "no-end-a", "nan-end-a"],
     )
     def test_bad_gaps_file_is_config_error(self, two_atom_json, tmp_path, capsys, content):
         path = tmp_path / "gaps.json"
@@ -181,6 +193,43 @@ class TestSeparateCommand:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "separation.json").exists()
+
+    def test_gaps_file_round_trip_is_bitwise(self, two_atom_json, tmp_path):
+        assert main(["gaps", "--config", two_atom_json, "--out", str(tmp_path)]) == 0
+        read = cli._read_gaps(str(tmp_path / "gaps.json"))
+        found = support.find_gaps(load_config(two_atom_json).model)
+
+        def bits(gap):
+            a, b, g_a, g_b, y, end_a, end_b = dataclasses.astuple(gap)
+            return [float.hex(v) for v in (a, b, g_a, g_b, y, *end_a, *end_b)]
+
+        assert [bits(g) for g in read] == [bits(g) for g in found]
+        assert read == found
+
+    def test_payload_matches_the_per_pair_loop(self):
+        # three atoms over p = 30 pairs, each pair repeated; the profile built
+        # from the distinct pairs equals the per-pair min/max loop it replaced
+        spectrum = JointSpectrum.from_atoms([(0.0, 1.0, 0.3), (4.0, 2.0, 0.3), (12.0, 0.5, 0.4)])
+        model = ModelConfig(spectrum, 0.05)
+        pairs = materialize_pairs(spectrum, 30)
+        preds = [predict_counts(g, pairs, model) for g in support.find_gaps(model)]
+        assert len(preds) == 4
+
+        def loop_profile(pred):
+            profile = {}
+            for (u, t), lo, hi in zip(pred.pairs, pred.h_min, pred.h_max):
+                if (u, t) not in profile:
+                    profile[(u, t)] = {"u": u, "t": t, "multiplicity": 0, "h_min": lo, "h_max": hi}
+                entry = profile[(u, t)]
+                entry["multiplicity"] += 1
+                entry["h_min"] = min(entry["h_min"], lo)
+                entry["h_max"] = max(entry["h_max"], hi)
+            return sorted(profile.values(), key=lambda e: (e["u"], e["t"]))
+
+        payload = cli._separation_payload(preds)
+        assert [[e["multiplicity"] for e in entry["h_profile"]] for entry in payload] == [[9, 9, 12]] * 4
+        expected = [dict(entry, h_profile=loop_profile(pred)) for entry, pred in zip(payload, preds)]
+        assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 class TestVerifyCommand:

@@ -28,7 +28,10 @@ def test_sign_constancy_violation_reported(two_atom_config):
     # an interval stitched across two true gaps is not a gap: the signal-free
     # pair's h crosses -1 between them and is reported with its two end values
     gaps = find_gaps(two_atom_config)
-    fake = SpectralGap(a=0.3, b=7.0, g_a=np.nan, g_b=np.nan, y=two_atom_config.y)
+    fake = SpectralGap(
+        a=0.3, b=7.0, g_a=np.nan, g_b=np.nan, y=two_atom_config.y,
+        end_a=gaps[0].end_a, end_b=gaps[1].end_b,
+    )
     assert gaps[0].a < fake.a < gaps[0].b
     assert gaps[1].a < fake.b < gaps[1].b
     pairs = materialize_pairs(two_atom_config.spectrum, 10)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from specsep import _kernels as K
 from specsep import separation
 from specsep import (
+    GapStateError,
     JointSpectrum,
     ModelConfig,
     NotInGapError,
@@ -87,36 +89,67 @@ class TestPredictCounts:
     @pytest.mark.parametrize("atoms, y", SEPARATION_MODELS)
     def test_h_increases_across_every_gap(self, atoms, y):
         # g and s are real Stieltjes transforms in a gap, so they increase;
-        # with u >= 0 and t > 0 each h_j increases too, and its extremes are
-        # at the two inset ends that predict_counts evaluates
+        # with u >= 0 and t > 0 each h_j increases too, and its extremes over
+        # the stretch between the two ends' branch points are at those ends,
+        # where predict_counts reads them. A clamped end is a grid point, at
+        # x(-1e4) > 0 for a = 0 and far above a + 10 for b = inf.
         spectrum = JointSpectrum.from_atoms(atoms)
         cfg = ModelConfig(spectrum, y)
+        u, t, w = spectrum_arrays(spectrum)
         pairs = [(atom.u, atom.t) for atom in spectrum.atoms]
         for gap in find_gaps(cfg):
-            delta = 1e-3 * (gap.finite_b - gap.a)
-            xs = np.linspace(gap.a + delta, gap.finite_b - delta, 5)
+            x_lo = max(gap.a, K.branch_terms(*gap.end_a, u, t, w, y)[0])
+            x_hi = min(gap.finite_b, K.branch_terms(*gap.end_b, u, t, w, y)[0])
+            delta = 1e-3 * (x_hi - x_lo)
+            xs = np.linspace(x_lo + delta, x_hi - delta, 5)
             h = np.vstack([h_values(pairs, x, cfg) for x in xs])
             assert np.all(np.diff(h, axis=0) > 0.0), gap
+            pred = predict_counts(gap, pairs, cfg)
+            assert np.all(np.array(pred.h_min) < h[0]), gap
+            assert np.all(h[-1] < np.array(pred.h_max)), gap
 
-    def test_two_h_values_calls_per_gap_at_the_inset_ends(self, two_atom_config, monkeypatch):
-        xs = []
-        real = separation.h_values
+    def test_no_solve_per_gap(self, two_atom_config, monkeypatch):
+        # the ends' branch points are carried on the gap, so predicting
+        # makes no boundary_value and no h_values call
+        calls = []
 
-        def counted(pairs, x, cfg, settings):
-            xs.append(x)
-            return real(pairs, x, cfg, settings)
+        def counted(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+            return record
 
-        monkeypatch.setattr(separation, "h_values", counted)
         pairs = materialize_pairs(two_atom_config.spectrum, 10)
         gaps = find_gaps(two_atom_config)
+        monkeypatch.setattr(separation, "boundary_value", counted("boundary_value"))
+        monkeypatch.setattr(separation, "h_values", counted("h_values"))
+        arr = np.array(pairs)
         for gap in gaps:
             pred = predict_counts(gap, pairs, two_atom_config)
-            delta = 1e-3 * (gap.finite_b - gap.a)
-            ends = np.linspace(gap.a + delta, gap.finite_b - delta, 5)[[0, -1]]
-            assert xs[-2:] == list(ends)
-            assert pred.h_min == tuple(real(pairs, ends[0], two_atom_config))
-            assert pred.h_max == tuple(real(pairs, ends[1], two_atom_config))
-        assert len(xs) == 2 * len(gaps)
+            for (g, s), h in ((gap.end_a, pred.h_min), (gap.end_b, pred.h_max)):
+                assert h == tuple(arr[:, 0] * g + arr[:, 1] * s)
+        assert calls == []
+
+    def test_mp_end_values_are_the_closed_form_edges(self, mp_config):
+        # for MP (u = 0, t = 1) h = s, and at the edges (1 -+ sqrt(y))^2 the
+        # transform is s = -1/(1 -+ sqrt(y)): the lower edge ends gap 0, the
+        # upper one starts gap 1
+        root = math.sqrt(mp_config.y)
+        low, high = find_gaps(mp_config)
+        assert low.end_b[1] == pytest.approx(-1.0 / (1.0 - root), rel=0.0, abs=1e-9)
+        assert high.end_a[1] == pytest.approx(-1.0 / (1.0 + root), rel=0.0, abs=1e-9)
+        pairs = materialize_pairs(mp_config.spectrum, 4)
+        assert predict_counts(low, pairs, mp_config).h_max == (low.end_b[1],) * 4
+        assert predict_counts(high, pairs, mp_config).h_min == (high.end_a[1],) * 4
+
+    @pytest.mark.parametrize(
+        "end_a, end_b",
+        [((math.nan, -1.0), (-0.5, -0.5)), ((-2.0, -2.0), (-math.inf, -0.5))],
+        ids=["nan", "inf"],
+    )
+    def test_gap_without_finite_ends_raises(self, mp_config, end_a, end_b):
+        gap = dataclasses.replace(find_gaps(mp_config)[1], end_a=end_a, end_b=end_b)
+        with pytest.raises(GapStateError):
+            predict_counts(gap, materialize_pairs(mp_config.spectrum, 4), mp_config)
 
     @pytest.mark.parametrize("atoms, y", SEPARATION_MODELS)
     def test_counts_follow_the_sign_row_of_the_sweep(self, atoms, y):
