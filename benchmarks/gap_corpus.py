@@ -36,6 +36,7 @@ With a baseline it takes about a minute on one core.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -90,9 +91,13 @@ def evaluate(src: str, models: list[dict]) -> list[dict]:
             return kernels[name](*args)
         return wrapper
 
+    # predict_counts(gap, pairs) takes no model; a baseline checkout from
+    # before that signature is called with the model as a third argument
+    takes_model = len(inspect.signature(specsep.predict_counts).parameters) > 2
+
     def predict(gap, pairs, cfg):
         try:
-            pred = specsep.predict_counts(gap, pairs, cfg)
+            pred = specsep.predict_counts(gap, pairs, *((cfg,) if takes_model else ()))
         except specsep.SpecsepError as exc:
             return type(exc).__name__
         return [pred.count_h_below, pred.count_h_above]

@@ -46,6 +46,16 @@ SINGULAR = 4
 
 # Magnitudes below this count as a pole.
 POLE_EPS = 1e-14
+# branch calls a root a pole when an atom denominator is below
+# BRANCH_POLE_EPS, and its derivatives singular when |d phi/ds| is below
+# BRANCH_SINGULAR_EPS.
+BRANCH_POLE_EPS = 1e-12
+BRANCH_SINGULAR_EPS = 1e-14
+# newton_pair calls its Jacobian singular when |det| is below this.
+DET_EPS = 1e-30
+# fixed_point and newton_pair project an iterate with a negative imaginary
+# part back to this one.
+UPPER_IM = 1e-16
 # Double precision cannot push |z - RHS| below about this times |z|, so the
 # solvers' residual target is effective_tol(tol, z).
 RESIDUAL_FLOOR = 1e-14
@@ -119,7 +129,7 @@ def fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
 
     Candidate updates come from each equation rearranged for its own
     unknown; iterates leaving the closed upper half-plane are projected
-    back to Im = +1e-16. The atom sums at each new iterate serve both its
+    back to Im = UPPER_IM. The atom sums at each new iterate serve both its
     residuals and the next update. Returns (s, g, r1, r2, iterations,
     status).
     """
@@ -143,9 +153,9 @@ def fixed_point(z, u, t, w, y, s0, g0, tol, max_iter, damping):
         s = (1.0 - damping) * s + damping * s_cand
         g = (1.0 - damping) * g + damping * g_cand
         if s.imag < 0.0:
-            s = complex(s.real, 1e-16)
+            s = complex(s.real, UPPER_IM)
         if g.imag < 0.0:
-            g = complex(g.real, 1e-16)
+            g = complex(g.real, UPPER_IM)
         sums = atom_sums(s, g, u, t, w)
         r1, r2, status = _residuals(z, s, g, sums, y)
         if status == OK and r1 < tol_eff and r2 < tol_eff:
@@ -166,7 +176,7 @@ def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
     ``residual_pair`` residuals are already below effective_tol(tol, z) is
     returned unchanged. Otherwise every step is the full Newton step (the
     2x2 complex system by Cramer's rule), and an iterate leaving the closed
-    upper half-plane is projected back to Im = +1e-16. Newton stops, status
+    upper half-plane is projected back to Im = UPPER_IM. Newton stops, status
     OK, once both steps are below PAIR_STEP_TOL relative to the stepped
     point, which in its quadratic regime is at rounding level. It stops with
     status NO_CONVERGE once a step below PAIR_NOISE_TOL does not shrink (the
@@ -215,7 +225,7 @@ def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
         j21 = y * g * sum_tt_d2
         j22 = z - y * sumt + y * g * sum_ut_d2
         det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-30:
+        if abs(det) < DET_EPS:
             status = SINGULAR
             break
         ds = (f2 * j12 - f1 * j22) / det
@@ -223,9 +233,9 @@ def newton_pair(z, u, t, w, y, s0, g0, tol, max_iter):
         s += ds
         g += dg
         if s.imag < 0.0:
-            s = complex(s.real, 1e-16)
+            s = complex(s.real, UPPER_IM)
         if g.imag < 0.0:
-            g = complex(g.real, 1e-16)
+            g = complex(g.real, UPPER_IM)
         step = max(abs(ds) / abs(s), abs(dg) / abs(g)) if s and g else np.inf
         if step <= PAIR_STEP_TOL:
             status = OK
@@ -349,10 +359,10 @@ def branch(g, u, t, w, y, s_center):
     s, _res, status = solve_s(g, u, t, w, y, s_center)
     if status != OK:
         return s, 0.0, 0.0, 0.0, status
-    if min(abs(1.0 + u_k * g + t_k * s) for u_k, t_k in zip(u, t)) < 1e-12:
+    if min(abs(1.0 + u_k * g + t_k * s) for u_k, t_k in zip(u, t)) < BRANCH_POLE_EPS:
         return s, 0.0, 0.0, 0.0, POLE
     x, dx_dg, s_prime, phi_s = branch_terms(g, s, u, t, w, y)
-    if abs(phi_s) < 1e-14:
+    if abs(phi_s) < BRANCH_SINGULAR_EPS:
         return s, x, 0.0, 0.0, SINGULAR
     return s, x, dx_dg, s_prime, OK
 

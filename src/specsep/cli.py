@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SolverError, SpecsepError, SpectrumError
-from .separation import CONVENTIONS, predict_counts
+from .separation import predict_counts
 from .simulate import SimConfig, run_trials, write_eigenvalue_csv
-from .solver import DEFAULT_SETTINGS, SolveSettings
 from .spectrum import JointSpectrum, ModelConfig, materialize_pairs
 from .support import SpectralGap, density, find_gaps
 
@@ -39,7 +38,6 @@ class ConfigError(SpecsepError, ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig
-    solve: SolveSettings
     sim: SimConfig | None
     output_dir: str
 
@@ -69,19 +67,11 @@ def load_config(path: str) -> RunConfig:
     except (SpectrumError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    solve_raw = raw.get("solve", {})
-    if not isinstance(solve_raw, dict):
-        raise ConfigError("solve must be a JSON object")
-    try:
-        solve = SolveSettings(
-            tol=float(solve_raw.get("tol", DEFAULT_SETTINGS.tol)),
-            max_iter=int(solve_raw.get("max_iter", DEFAULT_SETTINGS.max_iter)),
-            damping=float(solve_raw.get("damping", DEFAULT_SETTINGS.damping)),
-            v_start=float(solve_raw.get("v_start", DEFAULT_SETTINGS.v_start)),
-            v_min=float(solve_raw.get("v_min", DEFAULT_SETTINGS.v_min)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad solve settings: {exc}") from exc
+    # The solver's tolerances are fixed constants: a config that sets them
+    # is refused, so that no run silently uses values other than those it
+    # names.
+    if "solve" in raw:
+        raise ConfigError("'solve' is not a config key: the solver's settings are fixed")
 
     sim = None
     if "sim" in raw and raw["sim"] is not None:
@@ -104,11 +94,7 @@ def load_config(path: str) -> RunConfig:
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string")
-    return RunConfig(model=model, solve=solve, sim=sim, output_dir=output_dir)
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
+    return RunConfig(model=model, sim=sim, output_dir=output_dir)
 
 
 def _json_float(value):
@@ -176,23 +162,12 @@ def cmd_density(config: RunConfig, x_min: float, x_max: float, points: int, out_
         print("density: need at least 2 points", file=sys.stderr)
         return EXIT_USAGE
     grid = np.linspace(x_min, x_max, points)
-    curve = density(config.model, grid, config.solve)
+    curve = density(config.model, grid)
     path = os.path.join(out_dir, "density.csv")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,f,im_s_under,re_s_under,re_g_under\n")
-        for i, x in enumerate(curve.grid):
-            fh.write(
-                ",".join(
-                    (
-                        _fmt(x),
-                        _fmt(curve.f[i]),
-                        _fmt(curve.s_under[i].imag),
-                        _fmt(curve.s_under[i].real),
-                        _fmt(curve.g_under[i].real),
-                    )
-                )
-                + "\n"
-            )
+        for x, f, s, g in zip(curve.grid, curve.f, curve.s_under, curve.g_under):
+            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (x, f, s.imag, s.real, g.real))
     if curve.vmin_fallbacks:
         print(
             f"density: {len(curve.vmin_fallbacks)} of {points} points kept their "
@@ -218,13 +193,9 @@ def _require_sim(config: RunConfig, command: str) -> SimConfig:
     return config.sim
 
 
-def _predictions(config: RunConfig, gaps, convention: str):
-    sim = config.sim
-    pairs = materialize_pairs(config.model.spectrum, sim.p)
-    return [
-        predict_counts(gap, pairs, config.model, config.solve, convention=convention)
-        for gap in gaps
-    ]
+def _predictions(config: RunConfig, gaps):
+    pairs = materialize_pairs(config.model.spectrum, config.sim.p)
+    return [predict_counts(gap, pairs) for gap in gaps]
 
 
 def _separation_payload(predictions) -> list:
@@ -247,32 +218,33 @@ def _separation_payload(predictions) -> list:
                 "count_h_above": pred.count_h_above,
                 "predicted_below": below,
                 "predicted_above": above,
-                "convention": pred.convention,
+                "convention": "derivation",
                 "h_profile": profile,
             }
         )
     return payload
 
 
-def cmd_separate(config: RunConfig, out_dir: str, convention: str, gaps_file: str | None = None) -> int:
+def cmd_separate(config: RunConfig, out_dir: str, gaps_file: str | None = None) -> int:
     """Write separation.json with per-gap side counts of the h functions."""
     _require_sim(config, "separate")
     gaps = find_gaps(config.model) if gaps_file is None else _read_gaps(gaps_file)
-    predictions = _predictions(config, gaps, convention)
+    predictions = _predictions(config, gaps)
     _write_json(_separation_payload(predictions), os.path.join(out_dir, "separation.json"))
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, out_dir: str, convention: str, threshold: float) -> int:
+def cmd_verify(config: RunConfig, out_dir: str, threshold: float) -> int:
     """Run seeded trials against predictions; write verify.json and the
-    per-trial eigenvalue CSV. Exit 0 iff the active convention's all-gaps
-    match frequency reaches the threshold."""
+    per-trial eigenvalue CSV. Exit 0 iff the derivation convention's
+    all-gaps match frequency reaches the threshold; verify.json reports the
+    flipped convention's frequencies too."""
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"--threshold must lie in [0, 1], got {threshold}")
     sim = _require_sim(config, "verify")
     gaps = find_gaps(config.model)
-    predictions = _predictions(config, gaps, convention)
-    report = run_trials(sim, gaps, predictions, convention=convention)
+    predictions = _predictions(config, gaps)
+    report = run_trials(sim, gaps, predictions)
 
     per_gap = []
     for stats in report.per_gap:
@@ -288,9 +260,10 @@ def cmd_verify(config: RunConfig, out_dir: str, convention: str, threshold: floa
                 },
             }
         )
-    passed = report.active_match_frequency >= threshold
+    frequency = report.all_gaps_match_frequency["derivation"]
+    passed = frequency >= threshold
     payload = {
-        "convention": convention,
+        "convention": "derivation",
         "threshold": threshold,
         "trials": sim.trials,
         "seed": sim.seed,
@@ -305,8 +278,8 @@ def cmd_verify(config: RunConfig, out_dir: str, convention: str, threshold: floa
     write_eigenvalue_csv(report.eigenvalues, os.path.join(out_dir, "eigenvalues.csv"))
     if not passed:
         print(
-            f"verify: match frequency {report.active_match_frequency:.3f} "
-            f"below threshold {threshold} (convention {convention})",
+            f"verify: match frequency {frequency:.3f} "
+            f"below threshold {threshold} (convention derivation)",
             file=sys.stderr,
         )
         return EXIT_VERIFY
@@ -335,12 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sep = sub.add_parser("separate", help="predict eigenvalue counts per gap")
     add_common(p_sep)
-    p_sep.add_argument("--convention", choices=CONVENTIONS, default="derivation")
     p_sep.add_argument("--gaps-file", default=None, help="reuse a gaps.json instead of recomputing")
 
     p_verify = sub.add_parser("verify", help="Monte Carlo verification of predictions")
     add_common(p_verify)
-    p_verify.add_argument("--convention", choices=CONVENTIONS, default="derivation")
     p_verify.add_argument("--threshold", type=float, default=0.95)
 
     return parser
@@ -361,9 +332,9 @@ def main(argv=None) -> int:
         if args.command == "gaps":
             return cmd_gaps(config, out_dir)
         if args.command == "separate":
-            return cmd_separate(config, out_dir, args.convention, args.gaps_file)
+            return cmd_separate(config, out_dir, args.gaps_file)
         if args.command == "verify":
-            return cmd_verify(config, out_dir, args.convention, args.threshold)
+            return cmd_verify(config, out_dir, args.threshold)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

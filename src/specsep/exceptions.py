@@ -20,8 +20,8 @@ class PoleError(SolverError):
 class ConvergenceError(SolverError):
     """Fixed-point iteration failed: its budget ran out or a pole guard tripped.
 
-    Attributes carry the evaluation point and the last residuals so callers
-    can report or retry with different settings.
+    Attributes carry the evaluation point, the last residuals and the
+    iteration count so callers can report them.
     """
 
     def __init__(self, z, residuals, iterations, message=None):

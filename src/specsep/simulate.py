@@ -251,23 +251,13 @@ class VerifyReport:
     """
 
     simcfg: SimConfig
-    convention: str
     eigenvalues: np.ndarray
     counts: np.ndarray
     per_gap: tuple[GapStats, ...]
     all_gaps_match_frequency: dict
 
-    @property
-    def active_match_frequency(self) -> float:
-        return self.all_gaps_match_frequency[self.convention]
 
-
-def run_trials(
-    simcfg: SimConfig,
-    gaps,
-    predictions,
-    convention: str = "derivation",
-) -> VerifyReport:
+def run_trials(simcfg: SimConfig, gaps, predictions) -> VerifyReport:
     """Seeded trials counting eigenvalues against inset gap intervals.
 
     A trial matches a convention at a gap when its (below, above) counts
@@ -300,7 +290,6 @@ def run_trials(
     )
     return VerifyReport(
         simcfg=simcfg,
-        convention=convention,
         eigenvalues=eigs,
         counts=counts,
         per_gap=per_gap,

@@ -4,15 +4,16 @@ The system couples two scalar transforms (s, g) of the limiting spectral
 distribution through atom denominators 1 + u*g + t*s. There is one solve
 primitive. ``solve_at`` runs one damped fixed point from s = g = -1/z and
 polishes it with Newton; it raises ConvergenceError when the fixed point
-fails. ``boundary_value`` solves the top rung of a ladder of heights the
-same way, or by one Newton solve from a neighbouring point's top rung when
-it is given one, then runs one Newton solve per rung, warm-started from the
-rung above, as the height shrinks by a factor LADDER_RATIO (three decades)
-per rung down to v_min and then the real axis. Newton solves the cleared
-system, which has no pole at s = 0, so a rung can span three decades even
-next to a support edge. A rung above the axis whose Newton result fails
-the residual or the upper-half-plane check raises ContinuationError; at
-the axis the last pair above it is returned instead.
+fails. ``boundary_value`` solves the top rung of the ladder of heights
+LADDER the same way, or by one Newton solve from a neighbouring point's top
+rung when it is given one, then runs one Newton solve per rung, warm-started
+from the rung above, as the height shrinks by three decades per rung down
+to V_MIN and then the real axis. Newton solves the cleared system, which
+has no pole at s = 0, so a rung can span three decades even next to a
+support edge. A rung above the axis whose Newton result fails the residual
+or the upper-half-plane check raises ContinuationError; at the axis the
+last pair above it is returned instead. The tolerances, budgets and
+heights are fixed module constants.
 """
 
 from __future__ import annotations
@@ -31,48 +32,30 @@ from .exceptions import (
 from .spectrum import ModelConfig, spectrum_arrays
 
 
-@dataclass(frozen=True)
-class SolveSettings:
-    """Tolerances and budgets for the solver and the continuation ladder.
-
-    tol bounds both residuals of an accepted pair, at every rung of the
-    ladder. max_iter and damping are the iteration budget and the damping
-    factor of the one fixed-point solve that starts ``solve_at`` and
-    ``boundary_value``. boundary_value's ladder starts at height v_start and
-    divides it by LADDER_RATIO (1000) per rung, clamped to v_min, the last
-    height above the axis; with the defaults the rungs are 1, 1e-3, 1e-6
-    and 1e-8. The v_min pair is the fallback when the v = 0 Newton solve
-    fails.
-    """
-
-    tol: float = 1e-10
-    max_iter: int = 10000
-    damping: float = 0.5
-    v_start: float = 1.0
-    v_min: float = 1e-8
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if not (0.0 < self.v_min <= self.v_start):
-            raise ValueError("need 0 < v_min <= v_start")
-
-
-DEFAULT_SETTINGS = SolveSettings()
-
-# boundary_value divides the height by this factor from one rung to the next
-LADDER_RATIO = 1000.0
+# Both residuals of an accepted pair lie below TOL, at every rung of the
+# ladder and for the fixed point.
+TOL = 1e-10
+# Iteration budget and damping factor of the one fixed-point solve that
+# starts ``solve_at`` and a cold ``boundary_value``.
+FIXED_POINT_MAX_ITER = 10000
+DAMPING = 0.5
+# boundary_value's heights above the axis, three decades apart down to
+# V_MIN, the last one, whose pair is the fallback when the v = 0 Newton
+# solve fails.
+LADDER = (1.0, 1e-3, 1e-6, 1e-8)
+V_MIN = LADDER[-1]
 # Newton steps allowed per solve (a rung, or the polish after the fixed point)
 NEWTON_MAX_ITER = 50
 # Newton steps allowed to boundary_value's real-part restart, which from a
 # point inside the support has no real root to reach
 RESTART_MAX_ITER = 8
-# Newton polishes toward settings.tol * POLISH_FACTOR
+# Newton polishes toward TOL * POLISH_FACTOR
 POLISH_FACTOR = 1e-4
+# boundary_value tries the real-part restart when the axis pair's imaginary
+# parts are below RESTART_GATE relative to its magnitudes, and keeps the
+# real pair only within RESTART_CLOSENESS times that fraction of it.
+RESTART_GATE = 1e-3
+RESTART_CLOSENESS = 10.0
 
 
 @dataclass(frozen=True)
@@ -157,143 +140,121 @@ def constraint_residual(pair: StieltjesPair, cfg: ModelConfig) -> float:
     )
 
 
-def _newton(z, cfg, settings, s0, g0, max_iter=NEWTON_MAX_ITER):
+def _newton(z, cfg, s0, g0, max_iter=NEWTON_MAX_ITER):
     """Newton from (s0, g0) toward the polish target, in at most max_iter
     steps.
 
     Returns (pair, holds, polished): the pair Newton ended at; whether it
     holds, that is both residuals of the inverted system are below
-    K.effective_tol(settings.tol, z) and both imaginary parts are
-    non-negative; and whether Newton converged, its step falling to
-    rounding level, or started within K.effective_tol(settings.tol *
-    POLISH_FACTOR, z). Both targets rise to the rounding floor
-    RESIDUAL_FLOOR * |z| for large |z|. Newton takes full steps, so it can
-    end worse than its start; the caller keeps the start when the result
-    does not hold. s0 and g0 reach the kernel unconverted. They are Python
-    complex at every call, from the ladder and from the fixed point alike:
-    the atoms are Python floats, so the kernels never make a numpy scalar.
+    K.effective_tol(TOL, z) and both imaginary parts are non-negative; and
+    whether Newton converged, its step falling to rounding level, or started
+    within K.effective_tol(TOL * POLISH_FACTOR, z). Both targets rise to the
+    rounding floor RESIDUAL_FLOOR * |z| for large |z|. Newton takes full
+    steps, so it can end worse than its start; the caller keeps the start
+    when the result does not hold. s0 and g0 reach the kernel unconverted.
+    They are Python complex at every call, from the ladder and from the
+    fixed point alike: the atoms are Python floats, so the kernels never
+    make a numpy scalar.
     """
     u, t, w = cfg.spectrum.columns
     s, g, r1, r2, _it, status = K.newton_pair(
-        complex(z), u, t, w, cfg.y, s0, g0,
-        settings.tol * POLISH_FACTOR, max_iter,
+        complex(z), u, t, w, cfg.y, s0, g0, TOL * POLISH_FACTOR, max_iter,
     )
     holds = (
-        max(r1, r2) < K.effective_tol(settings.tol, z)
+        max(r1, r2) < K.effective_tol(TOL, z)
         and s.imag >= 0.0
         and g.imag >= 0.0
     )
     return StieltjesPair(z=complex(z), s_under=s, g_under=g), holds, status == K.OK
 
 
-def _cold(z, cfg, settings):
+def _cold(z, cfg):
     """Damped fixed point from s = g = -1/z, then one Newton polish.
 
     The polished pair is returned when it holds, the fixed point's
     otherwise. Raises ConvergenceError when the fixed point fails: its
-    budget ran out before both residuals fell below settings.tol, or a pole
-    guard tripped.
+    budget ran out before both residuals fell below TOL, or a pole guard
+    tripped.
     """
     u, t, w = cfg.spectrum.columns
     start = -1.0 / z
     s, g, r1, r2, it, status = K.fixed_point(
-        z, u, t, w, cfg.y, start, start,
-        settings.tol, settings.max_iter, settings.damping,
+        z, u, t, w, cfg.y, start, start, TOL, FIXED_POINT_MAX_ITER, DAMPING,
     )
     if status != K.OK:
         raise ConvergenceError(z, (float(r1), float(r2)), it)
-    polished, holds, _converged = _newton(z, cfg, settings, s, g)
+    polished, holds, _converged = _newton(z, cfg, s, g)
     if holds:
         return polished
     return StieltjesPair(z=complex(z), s_under=s, g_under=g)
 
 
-def solve_at(z: complex, cfg: ModelConfig, settings: SolveSettings = DEFAULT_SETTINGS) -> StieltjesPair:
+def solve_at(z: complex, cfg: ModelConfig) -> StieltjesPair:
     """Unique upper-half-plane solution pair at z (requires Im z > 0).
 
     Starts from s = g = -1/z, exact in the y -> 0 and |z| -> infinity
     limits, damps the alternating update until both residuals drop below
-    settings.tol, and polishes the result with Newton. Raises
-    ConvergenceError when the fixed point fails.
+    TOL, and polishes the result with Newton. Raises ConvergenceError when
+    the fixed point fails.
     """
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError(f"solve_at requires Im z > 0, got z={z!r}")
-    return _cold(z, cfg, settings)
-
-
-def _ladder_heights(settings):
-    """Heights v_start / LADDER_RATIO**k for k = 0, 1, ..., clamped to and
-    ending at v_min.
-
-    Dividing the previous height instead would drift by rounding and leave
-    a stray rung just above v_min (1.0000000000000002e-08, then 1e-08).
-    """
-    k = 0
-    v = settings.v_start
-    while True:
-        yield v
-        if v <= settings.v_min:
-            return
-        k += 1
-        v = max(settings.v_start / LADDER_RATIO**k, settings.v_min)
+    return _cold(z, cfg)
 
 
 def boundary_value(
     x: float,
     cfg: ModelConfig,
-    settings: SolveSettings = DEFAULT_SETTINGS,
     near: StieltjesPair | None = None,
 ) -> StieltjesPair:
     """Real-axis limit of the solution pair at x != 0.
 
-    Walks a ladder of heights v_start, v_start/LADDER_RATIO, ..., clamped
-    to v_min, then v = 0: with the defaults 1, 1e-3, 1e-6, 1e-8 and 0. The
+    Walks the heights LADDER (1, 1e-3, 1e-6, 1e-8 = V_MIN), then v = 0. The
     first height is solved by one Newton solve from near, the top-rung pair
     of a neighbouring point (``density`` passes the previous grid point's),
     when near is given and that Newton result holds; otherwise it is solved
     cold, as ``solve_at`` does. Every later height is one Newton solve
     warm-started from the pair one height up. A height above the axis whose
-    pair does not hold (both residuals below tol, both imaginary parts
+    pair does not hold (both residuals below TOL, both imaginary parts
     non-negative) raises ContinuationError(x, v). When the v = 0 pair does
-    not hold, the v_min pair is returned: its ``z`` keeps Im z = v_min,
+    not hold, the V_MIN pair is returned: its ``z`` keeps Im z = V_MIN,
     which is how callers tell the fallback apart. The returned pair carries
     the top-rung pair in ``top`` and whether it was solved cold in
     ``cold_top``.
 
     Off the support the limit pair is real. When the imaginary parts of the
-    v = 0 pair are already a small fraction rel_im of the magnitudes,
-    Newton solves once more from its real parts, in at most
+    v = 0 pair are already a small fraction rel_im (below RESTART_GATE) of
+    the magnitudes, Newton solves once more from its real parts, in at most
     RESTART_MAX_ITER steps, so the iterates stay exactly real. The real
-    pair replaces the complex one only when it lies within 10 * rel_im of
-    it (relative, in both s and g), so a full Newton step cannot carry the
-    restart to another real root, and Newton converged on it or its
-    residuals are no larger than the complex pair's. Next to a square-root
-    edge inside the support a real point's residual is of order (Im s)^2,
-    below tol within about 1e-11 of the edge, yet it stays above both of
-    those, so the complex pair is kept there.
+    pair replaces the complex one only when it lies within
+    RESTART_CLOSENESS * rel_im of it (relative, in both s and g), so a full
+    Newton step cannot carry the restart to another real root, and Newton
+    converged on it or its residuals are no larger than the complex pair's.
+    Next to a square-root edge inside the support a real point's residual
+    is of order (Im s)^2, below TOL within about 1e-11 of the edge, yet it
+    stays above both of those, so the complex pair is kept there.
     """
     if x == 0.0:
         raise ValueError("boundary values are undefined at x = 0")
-    heights = _ladder_heights(settings)
-    v = next(heights)
+    v = LADDER[0]
     top, holds = None, False
     if near is not None:
-        top, holds, _polished = _newton(complex(x, v), cfg, settings, near.s_under, near.g_under)
+        top, holds, _polished = _newton(complex(x, v), cfg, near.s_under, near.g_under)
     cold = not holds
     if cold:
         try:
-            top = _cold(complex(x, v), cfg, settings)
+            top = _cold(complex(x, v), cfg)
         except ConvergenceError as exc:
             raise ContinuationError(x, v) from exc
     pair = top
-    for v in heights:
-        pair, holds, _polished = _newton(complex(x, v), cfg, settings, pair.s_under, pair.g_under)
+    for v in LADDER[1:]:
+        pair, holds, _polished = _newton(complex(x, v), cfg, pair.s_under, pair.g_under)
         if not holds:
             raise ContinuationError(x, v)
 
     result = pair
-    axis, holds, _polished = _newton(complex(x, 0.0), cfg, settings, pair.s_under, pair.g_under)
+    axis, holds, _polished = _newton(complex(x, 0.0), cfg, pair.s_under, pair.g_under)
     if holds:
         result = axis
         s, g = axis.s_under, axis.g_under
@@ -301,15 +262,15 @@ def boundary_value(
             abs(s.imag) / max(1.0, abs(s)),
             abs(g.imag) / max(1.0, abs(g)),
         )
-        if rel_im < 1e-3:
+        if rel_im < RESTART_GATE:
             real, holds, polished = _newton(
-                complex(x, 0.0), cfg, settings, complex(s.real, 0.0), complex(g.real, 0.0),
+                complex(x, 0.0), cfg, complex(s.real, 0.0), complex(g.real, 0.0),
                 RESTART_MAX_ITER,
             )
             close = max(
                 abs(real.s_under - s) / max(1.0, abs(s)),
                 abs(real.g_under - g) / max(1.0, abs(g)),
-            ) <= 10.0 * rel_im
+            ) <= RESTART_CLOSENESS * rel_im
             if close and holds and (
                 polished or max(residual_713(real, cfg)) <= max(residual_713(axis, cfg))
             ):

@@ -41,7 +41,7 @@ from .exceptions import (
     NotInGapError,
     PoleError,
 )
-from .solver import DEFAULT_SETTINGS, SolveSettings, boundary_value
+from .solver import boundary_value
 from .spectrum import JointSpectrum, ModelConfig
 
 DEFAULT_G_BOUND = 1e4
@@ -109,7 +109,7 @@ class DensityCurve:
 
     ``failed`` holds the indices whose continuation failed (NaN rows);
     ``vmin_fallbacks`` those whose real-axis polish failed, so the row
-    holds the pair at z = x + i*v_min instead of the limit on the axis;
+    holds the pair at z = x + i*V_MIN instead of the limit on the axis;
     ``cold_starts`` those after the first whose top rung was solved cold,
     because the Newton solve from the previous point's top rung did not
     hold or no earlier point had given one.
@@ -280,17 +280,13 @@ def find_gaps(cfg: ModelConfig, n_grid: int = DEFAULT_N_GRID) -> list[SpectralGa
     return gaps
 
 
-def density(
-    cfg: ModelConfig,
-    grid,
-    settings: SolveSettings = DEFAULT_SETTINGS,
-) -> DensityCurve:
+def density(cfg: ModelConfig, grid) -> DensityCurve:
     """Density of the limiting distribution of the p x p matrix on a grid.
 
     The boundary imaginary part gives the companion density; dividing by y
     converts to the density of the p-dimensional spectrum (the companion
     law carries an extra point mass (1-y) at zero). Failed points are
-    flagged and reported as NaN, not fatal; points that kept their v_min
+    flagged and reported as NaN, not fatal; points that kept their V_MIN
     pair are flagged too.
 
     The points are solved in grid order, and each one's top rung is
@@ -311,7 +307,7 @@ def density(
     near = None
     for i, x in enumerate(grid):
         try:
-            pair = boundary_value(float(x), cfg, settings, near)
+            pair = boundary_value(float(x), cfg, near)
         except ContinuationError:
             failed.append(i)
             f[i] = np.nan

@@ -19,7 +19,6 @@ from specsep import (
     JointSpectrum,
     ModelConfig,
     SimConfig,
-    SolveSettings,
     constraint_residual,
     eigenvalues,
     extreme_bound_check,
@@ -126,7 +125,6 @@ def test_criterion_2_solver_residual_battery():
     """1000 random instances: residuals < 1e-10, Herglotz, constraint < 1e-9."""
     t0 = time.time()
     rng = np.random.default_rng(123456789)
-    settings = SolveSettings()
     worst_res = 0.0
     worst_con = 0.0
     for _ in range(1000):
@@ -136,7 +134,7 @@ def test_criterion_2_solver_residual_battery():
         y = float(rng.uniform(0.05, 1.0))
         model = ModelConfig(JointSpectrum.from_atoms(atoms), y)
         z = complex(rng.uniform(-5.0, 15.0), rng.uniform(1e-3, 10.0))
-        pair = solve_at(z, model, settings)
+        pair = solve_at(z, model)
         assert pair.s_under.imag > 0
         assert pair.g_under.imag > 0
         res = max(residual_713(pair, model))
@@ -182,7 +180,7 @@ def test_criterion_4_no_eigenvalue_property():
     upper = [g for g in find_gaps(model) if g.unbounded]
     assert len(upper) == 1
     pairs = materialize_pairs(model.spectrum, 400)
-    preds = [predict_counts(g, pairs, model) for g in upper]
+    preds = [predict_counts(g, pairs) for g in upper]
     freqs = {}
     for law in ("standard_gaussian", "rademacher"):
         sim = SimConfig(
@@ -202,7 +200,7 @@ def test_criterion_5_exact_separation_convention_resolution():
     model = ModelConfig(JointSpectrum.from_atoms(TWO_ATOMS), 0.1)
     gaps = find_gaps(model)
     pairs = materialize_pairs(model.spectrum, 200)
-    preds = [predict_counts(g, pairs, model) for g in gaps]
+    preds = [predict_counts(g, pairs) for g in gaps]
 
     middle = next(
         i for i, g in enumerate(gaps) if not g.unbounded and g.a > 0
@@ -247,7 +245,7 @@ def test_criterion_6_y_to_zero_degeneration():
     gaps = find_gaps(model)
     middle = next(g for g in gaps if not g.unbounded and g.a > 0)
     pairs = materialize_pairs(spectrum, 50)
-    pred = predict_counts(middle, pairs, model)
+    pred = predict_counts(middle, pairs)
     sums = np.array([u + t for u, t in pairs])
     below, above = pred.eigencounts("derivation")
     count_ok = (

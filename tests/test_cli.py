@@ -13,7 +13,6 @@ import pytest
 from specsep import (
     JointSpectrum,
     ModelConfig,
-    SolveSettings,
     StieltjesPair,
     materialize_pairs,
     predict_counts,
@@ -24,14 +23,12 @@ from specsep.cli import load_config, main
 from oracles import mp_density, mp_edges
 
 
-def write_config(path, y, atoms, sim=None, solve=None):
+def write_config(path, y, atoms, sim=None):
     doc = {
         "schema": 1,
         "y": y,
         "spectrum": [{"u": u, "t": t, "weight": w} for u, t, w in atoms],
     }
-    if solve:
-        doc["solve"] = solve
     if sim:
         doc["sim"] = sim
     path.write_text(json.dumps(doc))
@@ -133,7 +130,7 @@ class TestGapsCommand:
         assert middle["a"] < 5.0 < middle["b"]
 
     def test_non_real_gap_exits_3_without_output(self, mp_json, tmp_path, monkeypatch):
-        def non_real(x, cfg, settings=None):
+        def non_real(x, cfg):
             return StieltjesPair(z=complex(x), s_under=complex(-1.0, 0.1), g_under=-1.0)
 
         monkeypatch.setattr(support, "boundary_value", non_real)
@@ -212,7 +209,7 @@ class TestSeparateCommand:
         spectrum = JointSpectrum.from_atoms([(0.0, 1.0, 0.3), (4.0, 2.0, 0.3), (12.0, 0.5, 0.4)])
         model = ModelConfig(spectrum, 0.05)
         pairs = materialize_pairs(spectrum, 30)
-        preds = [predict_counts(g, pairs, model) for g in support.find_gaps(model)]
+        preds = [predict_counts(g, pairs) for g in support.find_gaps(model)]
         assert len(preds) == 4
 
         def loop_profile(pred):
@@ -245,15 +242,13 @@ class TestVerifyCommand:
         assert len(rows) == 5  # one per trial
         assert all(len(r.split(",")) == 20 for r in rows)  # p eigenvalues
 
-    def test_flipped_convention_fails(self, two_atom_json, tmp_path):
-        rc = main(
-            ["verify", "--config", two_atom_json, "--out", str(tmp_path),
-             "--convention", "theorem"]
-        )
-        assert rc == 4
-        report = json.loads((tmp_path / "verify.json").read_text())
-        assert report["passed"] is False
-        assert report["all_gaps_match_frequency"]["theorem"] < 0.05
+    @pytest.mark.parametrize("command", ["separate", "verify"])
+    def test_convention_option_is_usage_error(self, two_atom_json, tmp_path, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", two_atom_json, "--out", str(out), "--convention", "theorem"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "1.5", "-0.1"])
     def test_threshold_outside_unit_interval_is_usage_error(
@@ -325,12 +320,17 @@ class TestConfigHandling:
         assert main(["gaps", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_solve_defaults_come_from_solve_settings(self, tmp_path):
-        atoms = [(0.0, 1.0, 1.0)]
-        path = write_config(tmp_path / "cfg.json", 0.25, atoms)
-        assert load_config(path).solve == SolveSettings()
-        path = write_config(tmp_path / "cfg.json", 0.25, atoms, solve={"tol": 1e-9, "v_min": 1e-6})
-        assert load_config(path).solve == dataclasses.replace(SolveSettings(), tol=1e-9, v_min=1e-6)
+    @pytest.mark.parametrize("solve", [{}, {"tol": 1e-10}, {"tol": 1e-9, "v_min": 1e-6}])
+    def test_solve_section_is_config_error(self, tmp_path, capsys, solve):
+        # the solver's settings are fixed: a solve section, even one naming
+        # the fixed values, is refused rather than ignored
+        doc = {"y": 0.25, "spectrum": [{"u": 0.0, "t": 1.0, "weight": 1.0}], "solve": solve}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["gaps", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "gaps.json").exists()
 
     def test_p_derived_from_y_and_n(self, tmp_path):
         # p = round(y*n), keeping |p/n - y| <= 1/n by construction

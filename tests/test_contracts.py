@@ -36,22 +36,22 @@ def test_sign_constancy_violation_reported(two_atom_config):
     assert gaps[1].a < fake.b < gaps[1].b
     pairs = materialize_pairs(two_atom_config.spectrum, 10)
     with pytest.raises(SignConstancyError) as err:
-        predict_counts(fake, pairs, two_atom_config)
+        predict_counts(fake, pairs)
     assert err.value.pair == (0.0, 1.0)
     assert len(err.value.values) == 2
 
 
-def test_density_flags_failed_points(mp_config, monkeypatch):
+def test_density_flags_failed_points(mp_config, monkeypatch, tmp_path, capsys):
     calls = {"n": 0}
     real = solver_mod.boundary_value
     nears, tops = [], []
 
-    def flaky(x, cfg, settings=solver_mod.DEFAULT_SETTINGS, near=None):
+    def flaky(x, cfg, near=None):
         calls["n"] += 1
         nears.append(near)
         if calls["n"] == 2:
             raise ContinuationError(x, 1e-6)
-        pair = real(x, cfg, settings, near)
+        pair = real(x, cfg, near)
         tops.append(pair.top)
         return pair
 
@@ -67,19 +67,33 @@ def test_density_flags_failed_points(mp_config, monkeypatch):
     assert nears == [None, tops[0], tops[0]]
     assert curve.cold_starts == ()
 
+    # the CLI writes nan for the failed point's f and real parts, and one
+    # failed point of three exceeds the 1% budget
+    cfg_path = tmp_path / "mp.json"
+    cfg_path.write_text(json.dumps({"y": 0.25, "spectrum": [{"u": 0.0, "t": 1.0, "weight": 1.0}]}))
+    calls["n"] = 0
+    argv = ["density", "--config", str(cfg_path), "--out", str(tmp_path),
+            "--x-min", "0.8", "--x-max", "1.2", "--points", "3"]
+    assert main(argv) == 3
+    assert "1 of 3 points failed" in capsys.readouterr().err
+    rows = (tmp_path / "density.csv").read_text().splitlines()
+    x, f, _im_s, re_s, re_g = rows[2].split(",")
+    assert (x, f, re_s, re_g) == ("1", "nan", "nan", "nan")
+    assert "nan" not in rows[1] + rows[3]
+
 
 def test_density_flags_vmin_fallbacks(mp_config, monkeypatch, tmp_path, capsys):
-    # a pair still at z = x + i*v_min is the fallback after a failed
+    # a pair still at z = x + i*V_MIN is the fallback after a failed
     # real-axis polish: it is kept as a value but listed on the curve and
     # counted on stderr, with the CSV and the exit code unchanged
     calls = {"n": 0}
     real = solver_mod.boundary_value
 
-    def polish_fails(x, cfg, settings=solver_mod.DEFAULT_SETTINGS, near=None):
+    def polish_fails(x, cfg, near=None):
         calls["n"] += 1
         if calls["n"] == 2:
-            return solver_mod.solve_at(complex(x, settings.v_min), cfg, settings)
-        return real(x, cfg, settings, near)
+            return solver_mod.solve_at(complex(x, solver_mod.V_MIN), cfg)
+        return real(x, cfg, near)
 
     cfg_path = tmp_path / "mp.json"
     cfg_path.write_text(json.dumps({"y": 0.25, "spectrum": [{"u": 0.0, "t": 1.0, "weight": 1.0}]}))

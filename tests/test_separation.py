@@ -62,7 +62,7 @@ class TestPredictCounts:
         gaps = find_gaps(mp_config)
         upper = gaps[1]
         pairs = materialize_pairs(mp_config.spectrum, 40)
-        pred = predict_counts(upper, pairs, mp_config)
+        pred = predict_counts(upper, pairs)
         assert pred.count_h_above == 40
         assert pred.count_h_below == 0
         assert pred.eigencounts("derivation") == (40, 0)
@@ -71,7 +71,7 @@ class TestPredictCounts:
         gaps = find_gaps(mp_config)
         lower = gaps[0]
         pairs = materialize_pairs(mp_config.spectrum, 40)
-        pred = predict_counts(lower, pairs, mp_config)
+        pred = predict_counts(lower, pairs)
         assert pred.count_h_below == 40
         assert pred.count_h_above == 0
         assert pred.eigencounts("derivation") == (0, 40)
@@ -81,7 +81,7 @@ class TestPredictCounts:
         gaps = find_gaps(cfg)
         middle = [g for g in gaps if not g.unbounded and g.a > 0][0]
         pairs = materialize_pairs(cfg.spectrum, 80)
-        pred = predict_counts(middle, pairs, cfg)
+        pred = predict_counts(middle, pairs)
         assert pred.count_h_below == 40
         assert pred.count_h_above == 40
         assert pred.eigencounts("derivation") == (40, 40)
@@ -104,7 +104,7 @@ class TestPredictCounts:
             xs = np.linspace(x_lo + delta, x_hi - delta, 5)
             h = np.vstack([h_values(pairs, x, cfg) for x in xs])
             assert np.all(np.diff(h, axis=0) > 0.0), gap
-            pred = predict_counts(gap, pairs, cfg)
+            pred = predict_counts(gap, pairs)
             assert np.all(np.array(pred.h_min) < h[0]), gap
             assert np.all(h[-1] < np.array(pred.h_max)), gap
 
@@ -124,7 +124,7 @@ class TestPredictCounts:
         monkeypatch.setattr(separation, "h_values", counted("h_values"))
         arr = np.array(pairs)
         for gap in gaps:
-            pred = predict_counts(gap, pairs, two_atom_config)
+            pred = predict_counts(gap, pairs)
             for (g, s), h in ((gap.end_a, pred.h_min), (gap.end_b, pred.h_max)):
                 assert h == tuple(arr[:, 0] * g + arr[:, 1] * s)
         assert calls == []
@@ -138,8 +138,8 @@ class TestPredictCounts:
         assert low.end_b[1] == pytest.approx(-1.0 / (1.0 - root), rel=0.0, abs=1e-9)
         assert high.end_a[1] == pytest.approx(-1.0 / (1.0 + root), rel=0.0, abs=1e-9)
         pairs = materialize_pairs(mp_config.spectrum, 4)
-        assert predict_counts(low, pairs, mp_config).h_max == (low.end_b[1],) * 4
-        assert predict_counts(high, pairs, mp_config).h_min == (high.end_a[1],) * 4
+        assert predict_counts(low, pairs).h_max == (low.end_b[1],) * 4
+        assert predict_counts(high, pairs).h_min == (high.end_a[1],) * 4
 
     @pytest.mark.parametrize(
         "end_a, end_b",
@@ -149,7 +149,7 @@ class TestPredictCounts:
     def test_gap_without_finite_ends_raises(self, mp_config, end_a, end_b):
         gap = dataclasses.replace(find_gaps(mp_config)[1], end_a=end_a, end_b=end_b)
         with pytest.raises(GapStateError):
-            predict_counts(gap, materialize_pairs(mp_config.spectrum, 4), mp_config)
+            predict_counts(gap, materialize_pairs(mp_config.spectrum, 4))
 
     @pytest.mark.parametrize("atoms, y", SEPARATION_MODELS)
     def test_counts_follow_the_sign_row_of_the_sweep(self, atoms, y):
@@ -171,12 +171,12 @@ class TestPredictCounts:
             _s, _x, _d, status, den = K.sweep(np.array([g]), u, t, w, y)
             assert status[0] == K.OK, (gap, g)
             expected = int(multiplicity[den[0] > 0.0].sum())
-            assert predict_counts(gap, pairs, cfg).count_h_above == expected, gap
+            assert predict_counts(gap, pairs).count_h_above == expected, gap
 
     def test_partition_property(self, two_atom_config):
         pairs = materialize_pairs(two_atom_config.spectrum, 30)
         for gap in find_gaps(two_atom_config):
-            pred = predict_counts(gap, pairs, two_atom_config)
+            pred = predict_counts(gap, pairs)
             assert pred.count_h_below + pred.count_h_above == 30
             # sign constancy surfaced through per-pair extrema
             for lo, hi in zip(pred.h_min, pred.h_max):
@@ -185,7 +185,7 @@ class TestPredictCounts:
     def test_convention_flip_swaps_counts(self, two_atom_config):
         pairs = materialize_pairs(two_atom_config.spectrum, 30)
         gap = find_gaps(two_atom_config)[0]
-        pred = predict_counts(gap, pairs, two_atom_config)
+        pred = predict_counts(gap, pairs)
         below, above = pred.eigencounts("derivation")
         assert pred.eigencounts("theorem") == (above, below)
 
@@ -208,19 +208,19 @@ class TestPredictCounts:
             assert gs.a == pytest.approx(kappa * gb.a, rel=1e-6, abs=1e-9)
             if not gb.unbounded:
                 assert gs.b == pytest.approx(kappa * gb.b, rel=1e-6)
-            pb = predict_counts(gb, pairs_base, cfg_base)
-            ps = predict_counts(gs, pairs_scaled, cfg_scaled)
+            pb = predict_counts(gb, pairs_base)
+            ps = predict_counts(gs, pairs_scaled)
             assert pb.eigencounts() == ps.eigencounts()
 
     def test_rejects_unknown_convention(self, mp_config):
         gap = find_gaps(mp_config)[1]
-        pairs = materialize_pairs(mp_config.spectrum, 4)
+        pred = predict_counts(gap, materialize_pairs(mp_config.spectrum, 4))
         with pytest.raises(ValueError):
-            predict_counts(gap, pairs, mp_config, convention="sideways")
+            pred.eigencounts("sideways")
 
     def test_unbounded_gap_uses_finite_span(self, two_atom_config):
         top = [g for g in find_gaps(two_atom_config) if g.unbounded][0]
         pairs = materialize_pairs(two_atom_config.spectrum, 10)
-        pred = predict_counts(top, pairs, two_atom_config)
+        pred = predict_counts(top, pairs)
         assert pred.count_h_above == 10
         assert pred.eigencounts("derivation") == (10, 0)

@@ -216,7 +216,7 @@ class TestRunTrials:
         cfg = ModelConfig(mp_config.spectrum, 0.2)
         gaps = find_gaps(cfg)
         pairs = materialize_pairs(cfg.spectrum, 100)
-        preds = [predict_counts(g, pairs, cfg) for g in gaps]
+        preds = [predict_counts(g, pairs) for g in gaps]
         sim = SimConfig(spectrum=cfg.spectrum, n=500, p=100, trials=10, seed=4242)
         report = run_trials(sim, gaps, preds)
         assert report.all_gaps_match_frequency["derivation"] >= 0.9
@@ -227,7 +227,7 @@ class TestRunTrials:
         cfg = ModelConfig(two_atom_spectrum, 0.1)
         gaps = find_gaps(cfg)
         pairs = materialize_pairs(cfg.spectrum, 100)
-        preds = [predict_counts(g, pairs, cfg) for g in gaps]
+        preds = [predict_counts(g, pairs) for g in gaps]
         freqs = {}
         for law in ("standard_gaussian", "rademacher"):
             sim = SimConfig(
@@ -240,7 +240,7 @@ class TestRunTrials:
         cfg = ModelConfig(two_atom_spectrum, 0.1)
         gaps = find_gaps(cfg)
         pairs = materialize_pairs(cfg.spectrum, 50)
-        preds = [predict_counts(g, pairs, cfg) for g in gaps]
+        preds = [predict_counts(g, pairs) for g in gaps]
         sim = SimConfig(spectrum=cfg.spectrum, n=500, p=50, trials=4, seed=11)
         r1 = run_trials(sim, gaps, preds)
         r2 = run_trials(sim, gaps, preds)
@@ -257,7 +257,7 @@ class TestRunTrials:
         cfg = ModelConfig(spectrum, y)
         p = round(y * n)
         gaps = find_gaps(cfg)
-        preds = [predict_counts(g, materialize_pairs(spectrum, p), cfg) for g in gaps]
+        preds = [predict_counts(g, materialize_pairs(spectrum, p)) for g in gaps]
         sim = SimConfig(spectrum=spectrum, n=n, p=p, trials=8, seed=5)
         report = run_trials(sim, gaps, preds)
 
@@ -327,7 +327,7 @@ class TestTrialPipeline:
     def test_blas_and_threads_restored_after_a_failed_trial(self, two_atom_config, monkeypatch):
         gaps = find_gaps(two_atom_config)
         pairs = materialize_pairs(two_atom_config.spectrum, 30)
-        preds = [predict_counts(g, pairs, two_atom_config) for g in gaps]
+        preds = [predict_counts(g, pairs) for g in gaps]
         sim = SimConfig(spectrum=two_atom_config.spectrum, n=300, p=30, trials=6, seed=8)
         blas_before, threads_before = _blas_thread_count(), threading.active_count()
         pinned = max(1, len(os.sched_getaffinity(0)) // 2)
@@ -361,7 +361,7 @@ class TestTrialPipeline:
         n, p = 2000, 200
         gaps = find_gaps(two_atom_config)
         pairs = materialize_pairs(two_atom_config.spectrum, p)
-        preds = [predict_counts(g, pairs, two_atom_config) for g in gaps]
+        preds = [predict_counts(g, pairs) for g in gaps]
         sim = SimConfig(spectrum=two_atom_config.spectrum, n=n, p=p, trials=6, seed=3)
         tracemalloc.start()
         try:

@@ -9,7 +9,6 @@ from specsep import (
     JointSpectrum,
     ModelConfig,
     PoleError,
-    SolveSettings,
     StieltjesPair,
     boundary_value,
     constraint_residual,
@@ -22,7 +21,7 @@ from specsep import (
 )
 
 from specsep import _kernels as K
-from specsep.solver import NEWTON_MAX_ITER, RESTART_MAX_ITER
+from specsep.solver import LADDER, NEWTON_MAX_ITER, RESTART_MAX_ITER, TOL, V_MIN
 
 from oracles import (
     cleared_root,
@@ -178,14 +177,17 @@ class TestBoundaryValue:
             boundary_value(0.0, mp_config)
 
     def test_continuation_contract_at_v_min(self, mp_config):
-        # the continued pair must satisfy the system at z = x + i*v_min
-        settings = SolveSettings()
+        # the continued pair must satisfy the system at z = x + i*V_MIN
         x = 1.4
-        pair = boundary_value(x, mp_config, settings)
-        oracle = mp_companion_transform(complex(x, settings.v_min), 0.25)
+        pair = boundary_value(x, mp_config)
+        oracle = mp_companion_transform(complex(x, V_MIN), 0.25)
         assert abs(pair.s_under - oracle) < 1e-4
         r1, r2 = residual_713(pair, mp_config)
-        assert r1 < settings.tol and r2 < settings.tol
+        assert r1 < TOL and r2 < TOL
+
+    def test_ladder_is_three_decades_per_rung(self):
+        assert LADDER == (1.0, 0.001, 1e-06, 1e-08)
+        assert V_MIN == LADDER[-1]
 
     def test_rejected_rung_above_axis_raises(self, mp_config, monkeypatch):
         # Newton never moves: the cold top rung keeps the fixed point's pair,
@@ -210,12 +212,11 @@ class TestBoundaryValue:
             return real_newton(z, u, t, w, y, s0, g0, tol, max_iter)
 
         monkeypatch.setattr(K, "newton_pair", no_newton_on_axis)
-        settings = SolveSettings()
-        pair = boundary_value(1.0, mp_config, settings)
+        pair = boundary_value(1.0, mp_config)
         # the cold top rung's polish, one Newton rung per three decades
-        # clamped to v_min, the axis
+        # clamped to V_MIN, the axis
         assert heights == [1.0, 1e-3, 1e-6, 1e-8, 0.0]
-        assert pair.z == complex(1.0, settings.v_min)
+        assert pair.z == complex(1.0, V_MIN)
         oracle = mp_companion_transform(pair.z, 0.25)
         assert abs(pair.s_under - oracle) < 1e-9
         assert abs(pair.g_under - oracle) < 1e-9
@@ -231,7 +232,7 @@ class TestBoundaryValue:
         edge = 1.7240942580707719  # b of find_gaps' lowest gap on this model
         pair = boundary_value(edge * (1.0 + 1e-7), cfg)
         r1, r2 = residual_713(pair, cfg)
-        assert r1 < SolveSettings().tol and r2 < SolveSettings().tol
+        assert r1 < TOL and r2 < TOL
 
     def test_restart_keeps_the_complex_pair_next_to_an_edge(self):
         # 1e-8 relative inside the support: a full Newton step from the real
@@ -282,7 +283,7 @@ class TestBoundaryValue:
         pair = boundary_value(x, cfg)
         assert pair.z == complex(x, 0.0)
         r1, r2 = residual_713(pair, cfg)
-        assert r1 < SolveSettings().tol and r2 < SolveSettings().tol
+        assert r1 < TOL and r2 < TOL
         s, g = cleared_root(x, atoms, y, pair.s_under, pair.g_under)
         assert abs(pair.s_under - s) <= 1e-10 * abs(s)
         assert abs(pair.g_under - g) <= 1e-10 * abs(g)
@@ -331,10 +332,9 @@ class TestBoundaryValue:
         with pytest.raises(ConvergenceError) as info:
             solve_at(1.0 + 1.0j, mp_config)
         assert info.value.z == 1.0 + 1.0j
-        settings = SolveSettings(v_start=0.5)
         with pytest.raises(ContinuationError) as info:
-            boundary_value(1.0, mp_config, settings)
-        assert info.value.v == settings.v_start
+            boundary_value(1.0, mp_config)
+        assert info.value.v == LADDER[0]
         assert isinstance(info.value.__cause__, ConvergenceError)
 
     def test_kernels_get_the_atoms_as_python_floats(self, two_atom_config, monkeypatch):
@@ -365,23 +365,22 @@ class TestInvariantBattery:
 
     def test_random_instances(self):
         rng = np.random.default_rng(20260810)
-        settings = SolveSettings()
         for _ in range(100):
             cfg = random_model(rng)
             z = complex(rng.uniform(-5.0, 15.0), rng.uniform(1e-3, 10.0))
-            pair = solve_at(z, cfg, settings)
+            pair = solve_at(z, cfg)
 
             assert pair.s_under.imag > 0
             assert pair.g_under.imag > 0
 
             r1, r2 = residual_713(pair, cfg)
-            assert r1 < settings.tol and r2 < settings.tol
+            assert r1 < TOL and r2 < TOL
 
-            assert constraint_residual(pair, cfg) < 10 * settings.tol
+            assert constraint_residual(pair, cfg) < 10 * TOL
 
             s, g = from_companion(pair, cfg.y)
             q1, q2 = residual_712(s, g, z, cfg)
-            assert q1 < 10 * settings.tol and q2 < 10 * settings.tol
+            assert q1 < 10 * TOL and q2 < 10 * TOL
 
             u = np.array([a.u for a in cfg.spectrum.atoms])
             t = np.array([a.t for a in cfg.spectrum.atoms])

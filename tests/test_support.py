@@ -22,6 +22,7 @@ from specsep import (
 from specsep import _kernels as K
 from specsep import support
 from specsep.support import DEFAULT_N_GRID, EDGE_RTOL, GAP_IMAG_TOL
+from specsep.solver import LADDER
 
 from oracles import (
     TWO_ATOM_GAPS_Y001,
@@ -419,7 +420,7 @@ class TestFindGaps:
     def test_non_real_gap_midpoint_raises(self, mp_config, monkeypatch):
         calls = []
 
-        def non_real(x, cfg, settings=None):
+        def non_real(x, cfg):
             calls.append(x)
             return StieltjesPair(z=complex(x), s_under=complex(-1.0, GAP_IMAG_TOL), g_under=-1.0)
 
@@ -630,10 +631,10 @@ class TestDensityContinuation:
     def test_rejected_warm_start_is_listed(self, mp_config, monkeypatch):
         real = support.boundary_value
 
-        def far_at_third(x, cfg, settings, near):
+        def far_at_third(x, cfg, near):
             if x == grid[2]:
-                near = mp_far_branch(complex(x, settings.v_start), cfg.y)
-            return real(x, cfg, settings, near)
+                near = mp_far_branch(complex(x, LADDER[0]), cfg.y)
+            return real(x, cfg, near)
 
         grid = np.linspace(0.5, 2.0, 6)
         monkeypatch.setattr(support, "boundary_value", far_at_third)
