@@ -10,7 +10,10 @@ one JSON file holding, per workload,
   of them);
 - for each per-layer metric: both sides' traced value (the counts repeat
   exactly between runs; the times do not);
-- whether every run was correct, and its failed-operation count.
+- whether every run was correct, and its failed-operation count;
+- in ``host``, a two-thread probe taken before and after the pairs: the
+  speedup of two threads over one on a fixed numpy workload, so that a
+  claim about threading can be read against the cores the host had free.
 
 Usage, from the root of this checkout, with the baseline checked out
 elsewhere (``git archive <commit> | tar -x -C <dir>``):
@@ -30,11 +33,18 @@ import platform
 import statistics
 import subprocess
 import sys
+import threading
+import time
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Alternating untraced pairs per workload: a claimed gain must win at least
 # nine of ten.
 PAIRS = 10
+# The probe: PROBE_TRIES timings of 2 * PROBE_REPS np.sin passes over
+# PROBE_SIZE doubles, on one thread and then split between two.
+PROBE_TRIES, PROBE_REPS, PROBE_SIZE = 5, 200, 1 << 16
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -51,6 +61,35 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
             f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}"
         )
     return json.loads(lines[-1])
+
+
+def two_thread_speedup() -> float:
+    """Median over PROBE_TRIES of (time on one thread) / (time on two).
+
+    np.sin releases the interpreter lock on arrays this size, so two free
+    cores give about 2 and one free core about 1.
+    """
+    arrays = [np.linspace(0.0, 1.0, PROBE_SIZE) for _ in range(2)]
+    outs = [np.empty(PROBE_SIZE) for _ in range(2)]
+
+    def work(k: int, reps: int) -> None:
+        for _ in range(reps):
+            np.sin(arrays[k], out=outs[k])
+
+    work(0, PROBE_REPS // 10)
+    ratios = []
+    for _ in range(PROBE_TRIES):
+        start = time.perf_counter()
+        work(0, 2 * PROBE_REPS)
+        one = time.perf_counter() - start
+        threads = [threading.Thread(target=work, args=(k, PROBE_REPS)) for k in range(2)]
+        start = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        ratios.append(one / (time.perf_counter() - start))
+    return statistics.median(ratios)
 
 
 def summary(values: list[float]) -> dict:
@@ -108,6 +147,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
+    probe_before = two_thread_speedup()
     report = {
         "command": f"python3 e2ebench/run.py --workload <w> --seed {args.seed} "
         f"--seconds {seconds} --trace <0|1>",
@@ -118,6 +158,7 @@ def main(argv=None) -> int:
             "cpus": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "two_thread_speedup": {"before": probe_before},
         },
         "workloads": {
             w["name"]: bench_workload(
@@ -126,6 +167,7 @@ def main(argv=None) -> int:
             for w in bench["workloads"]
         },
     }
+    report["host"]["two_thread_speedup"]["after"] = two_thread_speedup()
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

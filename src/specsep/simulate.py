@@ -6,15 +6,21 @@ and reads every frequency of its report off that integer table.
 
 The trial loop is a two-stage pipeline: the calling thread draws trial i's
 matrix while one helper thread takes the eigenvalues of trial i - 1, with
-OpenBLAS pinned to half the cores so the two stages split them. Only the
-p x p matrix crosses to the helper, so one noise array is live at a time.
+OpenBLAS pinned to half the cores so the two stages split them. Trial i's
+Gram product is split in two row blocks that cost the same; the helper
+computes the leading one once it is done with trial i - 1, unless the
+calling thread, done with its own block first, takes it back. No reference
+to a trial's noise outlives ``sample_B``, so one noise array is live at a
+time.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -29,6 +35,11 @@ NOISE_LAWS = ("standard_gaussian", "rademacher", "uniform_standardized")
 
 INSET_FRACTION = 0.05
 HERMITIAN_TOL = 1e-12
+# Smallest p whose Gram product is split between the pipeline's threads.
+# Handing a block to the idle helper and waiting for it costs 20-30 us; on
+# one core the leading block takes about 24 us at p = 64, n = 4p, no more
+# than that, and 130 us at p = 128 (notes/decisions.md, "Trial pipeline").
+SPLIT_MIN_P = 128
 
 
 @dataclass(frozen=True)
@@ -100,41 +111,131 @@ def sample_noise(rng: np.random.Generator, shape, law: str, complex_entries: boo
     return x
 
 
-def sample_B(simcfg: SimConfig, trial_index: int) -> np.ndarray:
+class _Job:
+    """A call that runs once, on whichever thread claims it first."""
+
+    def __init__(self, fn, *args):
+        self._call = (fn, args)
+        self._claim = threading.Lock()
+        self._done = threading.Event()
+        self._result = self._error = None
+
+    def run(self) -> None:
+        """Run the call on this thread, unless another thread claimed it."""
+        with self._claim:
+            call, self._call = self._call, None
+        if call is None:
+            return
+        try:
+            self._result = call[0](*call[1])
+        except BaseException as exc:  # raised again on the thread that reads it
+            self._error = exc
+        # drop the arguments before the reader wakes: they may hold a noise array
+        call = None
+        self._done.set()
+
+    def result(self):
+        """Wait for the call to finish; return its value or raise its error."""
+        self._done.wait()
+        if self._error is not None:
+            raise self._error
+        return self._result
+
+
+class _Helper:
+    """One worker thread that runs submitted jobs in submission order."""
+
+    def __init__(self):
+        self._queue = collections.deque()
+        self._queued = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._work, daemon=True)
+        self._thread.start()
+
+    def _work(self) -> None:
+        while True:
+            self._queued.acquire()
+            job = self._queue.popleft()
+            if job is None:
+                return
+            job.run()
+
+    def submit(self, job: _Job) -> _Job:
+        self._queue.append(job)
+        self._queued.release()
+        return job
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        # the jobs already submitted run first, as ThreadPoolExecutor's exit does
+        self.submit(None)
+        self._thread.join()
+
+
+def _split_point(p: int) -> int:
+    """Rows of the leading block of B, the one the pipeline's helper may take.
+
+    B[:h, :h] costs h^2 / 2 multiply-adds per noise column (a syrk), and the
+    trailing rows B[h:, :] cost (p^2 - h^2) / 2, so h = p / sqrt(2) balances
+    them. Below SPLIT_MIN_P the block is too small to pay for its handoff,
+    and h = p: B is one product.
+    """
+    return p if p < SPLIT_MIN_P else round(p / math.sqrt(2.0))
+
+
+def sample_B(simcfg: SimConfig, trial_index: int, helper: _Helper | None = None) -> np.ndarray:
     """One realization of the p x p noncentral covariance matrix.
 
     The noise stream is derived deterministically from (seed, trial_index);
     identical configurations replay bit-identical matrices.
 
     With D = R / sqrt(n) = [diag(d) | 0], d = sqrt(u), and the noise scaled
-    in place to S = T^{1/2} X / sqrt(n), the matrix (D + S)(D + S)* is
-    S S* + M + M* + diag(d^2) with M = D S* = d[:, None] * S[:, :p]*. Only
-    the first p columns of S meet the signal, so for real entries the noise
-    is the one p x n array made. A pass that would multiply every entry by 1
-    (all t = 1) or add 0 to it (all u = 0) changes no bit and is skipped.
+    in place to S = T^{1/2} X / sqrt(n), the signal is folded into the noise
+    array, Y = D + S (d_j added to S[j, j]), and B = Y Y* is the one Gram
+    product. The noise is the one p x n array made for real entries. A pass
+    that would multiply every entry by 1 (all t = 1) changes no bit and is
+    skipped.
+
+    The product is split in rows at h = _split_point(p): B[:h, :h] goes to
+    ``helper`` (a trial pipeline's thread) when one is given and h < p, and
+    the calling thread computes B[h:, :] and mirrors B[h:, :h] into
+    B[:h, h:]. If the helper has not started its block by then, the calling
+    thread runs it too. Every block is written in place, and the result is
+    bitwise the same with or without a helper.
     """
     rng = _trial_rng(simcfg.seed, trial_index)
     n, p = simcfg.n, simcfg.p
     r_diag, t_diag, _pairs = build_deterministic(simcfg.spectrum, n, p)
-    x = sample_noise(rng, (p, n), simcfg.noise_law, simcfg.complex_entries)
+    y = sample_noise(rng, (p, n), simcfg.noise_law, simcfg.complex_entries)
     # two passes, so that S rounds as (R + T^{1/2} X) / sqrt(n) does off R's
-    # diagonal: pure-noise models give the dense product's B bit for bit
+    # diagonal: below SPLIT_MIN_P pure-noise models give the dense product's
+    # B bit for bit
     if np.any(t_diag != 1.0):
-        x *= np.sqrt(t_diag)[:, None]
-    x /= math.sqrt(n)
-    b = x @ x.conj().T  # syrk for real entries, so exactly symmetric
-    d = r_diag / math.sqrt(n)
-    if np.any(d != 0.0):
-        m = d[:, None] * x[:, :p].conj().T
-        # free each array once used: the trial pipeline's helper holds the last
-        # trial's B meanwhile, so one noise array and few p x p arrays are live
-        del x
-        # M + M* and the diagonal keep B exactly symmetric (Hermitian)
-        b += m + m.conj().T
-        del m
-        b[np.diag_indices(p)] += d * d
+        y *= np.sqrt(t_diag)[:, None]
+    y /= math.sqrt(n)
+    # y's diagonal as a strided view: y[j, j] is flat element j * (n + 1)
+    y.reshape(-1)[:: n + 1] += r_diag / math.sqrt(n)
+    # one conjugate, shared by the blocks (y itself for real entries); with
+    # yc[:h] the same memory as y[:h], numpy's matmul takes syrk, so real
+    # diagonal blocks are exactly symmetric
+    yc = y.conj()
+    h = _split_point(p)
+    b = np.empty((p, p), dtype=y.dtype)
+    # matmul's third argument is its out
+    lead = _Job(np.matmul, y[:h], yc[:h].T, b[:h, :h])
+    if helper is not None and h < p:
+        helper.submit(lead)
+    np.matmul(y[h:], yc[:h].T, b[h:, :h])
+    np.matmul(y[h:], yc[h:].T, b[h:, h:])
+    lead.run()
+    lead.result()
+    # the noise goes first: the mirror and the Hermitian pass use buffers
+    del y, yc, lead
+    np.conjugate(b[h:, :h].T, b[:h, h:])
     if np.iscomplexobj(b):
-        # the complex product is a general one, Hermitian only to rounding
+        # complex diagonal blocks are general products, Hermitian only to
+        # rounding; the mirrored blocks pass unchanged
         b += b.conj().T
         b /= 2.0
     return b
@@ -186,22 +287,21 @@ def _trial_eigenvalues(simcfg: SimConfig) -> np.ndarray:
     """(trials x p) table: row i holds the ascending eigenvalues of trial i.
 
     While the calling thread runs ``sample_B`` for trial i, one helper thread
-    runs ``eigenvalues`` for trial i - 1; rows are kept in trial order.
+    runs ``eigenvalues`` for trial i - 1 and then the leading block of trial
+    i's Gram product, unless ``sample_B`` has taken it back; rows are kept
+    in trial order.
     """
-    # imported here: its import takes about 8 ms, which start-up need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
     rows = []
     pending = None
     cores = len(os.sched_getaffinity(0))
-    with _blas_threads(max(1, cores // 2)), ThreadPoolExecutor(1) as helper:
+    with _blas_threads(max(1, cores // 2)), _Helper() as helper:
         for i in range(simcfg.trials):
             # sample_B and eigenvalues are looked up in the module's globals
             # on every call, so a wrapper set on the module sees each trial
-            b = sample_B(simcfg, i)
+            b = sample_B(simcfg, i, helper=helper)
             if pending is not None:
                 rows.append(pending.result())
-            pending = helper.submit(eigenvalues, b)
+            pending = helper.submit(_Job(eigenvalues, b))
         rows.append(pending.result())
     return np.array(rows)
 

@@ -310,9 +310,9 @@ def density(cfg: ModelConfig, grid) -> DensityCurve:
             pair = boundary_value(float(x), cfg, near)
         except ContinuationError:
             failed.append(i)
+            # both parts nan: a bare np.nan stores as complex(nan, 0)
             f[i] = np.nan
-            s_vals[i] = np.nan
-            g_vals[i] = np.nan
+            s_vals[i] = g_vals[i] = complex(np.nan, np.nan)
             continue
         if pair.cold_top and i > 0:
             cold_starts.append(i)

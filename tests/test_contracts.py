@@ -59,6 +59,7 @@ def test_density_flags_failed_points(mp_config, monkeypatch, tmp_path, capsys):
     curve = density(mp_config, [0.8, 1.0, 1.2])
     assert curve.failed == (1,)
     assert np.isnan(curve.f[1])
+    assert np.isnan(curve.s_under[1].imag) and np.isnan(curve.g_under[1].imag)
     assert np.isfinite(curve.f[0]) and np.isfinite(curve.f[2])
     # mass skips the flagged point instead of propagating NaN
     assert np.isfinite(curve.mass())
@@ -67,8 +68,8 @@ def test_density_flags_failed_points(mp_config, monkeypatch, tmp_path, capsys):
     assert nears == [None, tops[0], tops[0]]
     assert curve.cold_starts == ()
 
-    # the CLI writes nan for the failed point's f and real parts, and one
-    # failed point of three exceeds the 1% budget
+    # the CLI writes nan for the failed point's f, im_s_under and real parts,
+    # and one failed point of three exceeds the 1% budget
     cfg_path = tmp_path / "mp.json"
     cfg_path.write_text(json.dumps({"y": 0.25, "spectrum": [{"u": 0.0, "t": 1.0, "weight": 1.0}]}))
     calls["n"] = 0
@@ -77,8 +78,8 @@ def test_density_flags_failed_points(mp_config, monkeypatch, tmp_path, capsys):
     assert main(argv) == 3
     assert "1 of 3 points failed" in capsys.readouterr().err
     rows = (tmp_path / "density.csv").read_text().splitlines()
-    x, f, _im_s, re_s, re_g = rows[2].split(",")
-    assert (x, f, re_s, re_g) == ("1", "nan", "nan", "nan")
+    x, f, im_s, re_s, re_g = rows[2].split(",")
+    assert (x, f, im_s, re_s, re_g) == ("1", "nan", "nan", "nan", "nan")
     assert "nan" not in rows[1] + rows[3]
 
 

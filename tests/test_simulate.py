@@ -156,6 +156,19 @@ class TestSampleB:
             tracemalloc.stop()
         assert peak < 3.2 * 8 * p * n
 
+    def test_complex_trial_peak_shares_one_conjugate(self, two_atom_spectrum):
+        # the noise and its one conjugate, 2 * 8pn bytes each, and B, 0.2 * 8pn;
+        # a conjugate per block would add 1.4 * 8pn
+        n, p = 2000, 200
+        cfg = SimConfig(spectrum=two_atom_spectrum, n=n, p=p, seed=3, complex_entries=True)
+        tracemalloc.start()
+        try:
+            sample_B(cfg, 0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.21 * 8 * p * n
+
     def test_fixed_seed_replays_bit_identical(self, two_atom_spectrum):
         cfg = SimConfig(spectrum=two_atom_spectrum, n=50, p=10, seed=1234)
         b1 = sample_B(cfg, 3)
@@ -165,6 +178,69 @@ class TestSampleB:
     def test_trials_use_distinct_streams(self, two_atom_spectrum):
         cfg = SimConfig(spectrum=two_atom_spectrum, n=50, p=10, seed=1234)
         assert not np.array_equal(sample_B(cfg, 0), sample_B(cfg, 1))
+
+
+class TestSplitGram:
+    """Above SPLIT_MIN_P the Gram product is two row blocks, B[:h, :h] and B[h:, :]."""
+
+    # the two-atom workload's shape; rademacher noise under the u = 8 signal
+    # differs most, up to 8.5e-15 relative here (the split reorders sums of
+    # n equal-magnitude terms after the folded d^2)
+    P, N = 200, 2000
+
+    def _config(self, model, law, complex_entries):
+        spec = JointSpectrum.from_atoms(DENSE_REFERENCE_MODELS[model])
+        return SimConfig(spectrum=spec, n=self.N, p=self.P, seed=19, noise_law=law,
+                         complex_entries=complex_entries)
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("law", ["standard_gaussian", "rademacher", "uniform_standardized"])
+    @pytest.mark.parametrize("model", list(DENSE_REFERENCE_MODELS))
+    def test_split_matches_one_product(self, model, law, complex_entries, monkeypatch):
+        cfg = self._config(model, law, complex_entries)
+        assert simulate.SPLIT_MIN_P <= cfg.p
+        split = sample_B(cfg, 4)
+        # below the minimum, the split point is p: one product
+        monkeypatch.setattr(simulate, "SPLIT_MIN_P", cfg.p + 1)
+        one = sample_B(cfg, 4)
+        assert np.max(np.abs(split - one)) <= 1e-14 * np.max(np.abs(one))
+        # the mirrored block and syrk's diagonal blocks: exactly symmetric
+        # (Hermitian) either way
+        assert np.array_equal(split, split.conj().T)
+        assert np.array_equal(one, one.conj().T)
+        if complex_entries:
+            assert np.all(np.diag(split).imag == 0.0)
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("law", ["standard_gaussian", "rademacher", "uniform_standardized"])
+    def test_helper_changes_no_bit(self, law, complex_entries):
+        cfg = self._config("signal", law, complex_entries)
+        alone = sample_B(cfg, 2)
+        release = threading.Event()
+        with simulate._Helper() as helper:
+            idle = sample_B(cfg, 2, helper=helper)
+            # a busy helper: sample_B takes the leading block back and runs it
+            blocker = helper.submit(simulate._Job(release.wait, 30.0))
+            busy = sample_B(cfg, 2, helper=helper)
+            release.set()
+            assert blocker.result() is True
+        assert np.array_equal(alone, idle)
+        assert np.array_equal(alone, busy)
+
+    def test_helper_hands_an_error_to_its_reader_and_joins(self):
+        threads_before = threading.active_count()
+        failure = ValueError("job failed")
+
+        def fail():
+            raise failure
+
+        with simulate._Helper() as helper:
+            job = helper.submit(simulate._Job(fail))
+            with pytest.raises(ValueError) as info:
+                job.result()
+            assert helper.submit(simulate._Job(int, "7")).result() == 7
+        assert info.value is failure
+        assert threading.active_count() == threads_before
 
 
 class TestEigenvalues:
@@ -318,11 +394,16 @@ class TestTrialPipeline:
     """The trial loop draws trial i while a helper thread solves trial i - 1."""
 
     def test_table_matches_a_sequential_loop_bitwise(self, two_atom_spectrum):
-        sim = SimConfig(spectrum=two_atom_spectrum, n=90, p=30, trials=7, seed=21)
-        table = simulate._trial_eigenvalues(sim)
-        expected = np.array([eigenvalues(sample_B(sim, i)) for i in range(sim.trials)])
-        assert table.shape == (sim.trials, sim.p)
-        assert np.array_equal(table, expected)
+        # p = 200 splits each Gram product between the pipeline's threads
+        for n, p in [(90, 30), (800, 200)]:
+            sim = SimConfig(spectrum=two_atom_spectrum, n=n, p=p, trials=7, seed=21)
+            table = simulate._trial_eigenvalues(sim)
+            # BLAS on as many threads as the pipeline pins: the split blocks'
+            # last bits may depend on the thread count
+            with simulate._blas_threads(max(1, len(os.sched_getaffinity(0)) // 2)):
+                expected = np.array([eigenvalues(sample_B(sim, i)) for i in range(sim.trials)])
+            assert table.shape == (sim.trials, sim.p)
+            assert np.array_equal(table, expected)
 
     def test_blas_and_threads_restored_after_a_failed_trial(self, two_atom_config, monkeypatch):
         gaps = find_gaps(two_atom_config)
@@ -335,11 +416,11 @@ class TestTrialPipeline:
         failure = RuntimeError("trial 3 failed")
         original = simulate.sample_B
 
-        def sample_B_failing_at_3(simcfg, trial_index):
+        def sample_B_failing_at_3(simcfg, trial_index, **kwargs):
             seen.append(_blas_thread_count())
             if trial_index == 3:
                 raise failure
-            return original(simcfg, trial_index)
+            return original(simcfg, trial_index, **kwargs)
 
         monkeypatch.setattr(simulate, "sample_B", sample_B_failing_at_3)
         with pytest.raises(RuntimeError) as info:
